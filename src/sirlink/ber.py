@@ -13,10 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import Scenario, SirDistribution, sir_cdf, sir_distribution, sir_pdf
 from .numerics import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
+    MAX_GL_ORDER,
     SQRT_PI,
     QuadratureResult,
     gauss_laguerre_half,
@@ -92,24 +95,23 @@ def ber_gl(dist: SirDistribution, order: int = DEFAULT_GL_ORDER) -> float:
     vanishes at 0, so the boundary terms drop and the average BER equals
     sum(w_i * cdf(y_i)) / (2*sqrt(pi)) over the y^(-1/2)e^(-y) rule.
     """
-    if not _MIN_GL_ORDER <= order <= 128:
-        raise ValueError(f"order must be in [{_MIN_GL_ORDER}, 128], got {order}")
+    if not _MIN_GL_ORDER <= order <= MAX_GL_ORDER:
+        raise ValueError(f"order must be in [{_MIN_GL_ORDER}, {MAX_GL_ORDER}], got {order}")
     rule = gauss_laguerre_half(order)
-    acc = math.fsum(w * sir_cdf(dist, y) for y, w in zip(rule.nodes, rule.weights))
-    return acc / (2.0 * SQRT_PI)
+    return float(np.dot(rule.weights, sir_cdf(dist, rule.nodes))) / (2.0 * SQRT_PI)
 
 
-def ber(scenario: Scenario,
+def ber(scenario: Scenario | SirDistribution,
         rel_tol: float = DEFAULT_REL_TOL,
         abs_tol: float = DEFAULT_ABS_TOL,
         gl_order: int = DEFAULT_GL_ORDER,
         cross_check_threshold: float = CROSS_CHECK_THRESHOLD) -> BerResult:
-    """Average BER of a scenario, cross-checked between both routes.
+    """Average BER of a scenario or SIR law, cross-checked between both routes.
 
     Returns the direct-quadrature value with the route disagreement recorded;
     raises CrossCheckError when the routes differ by the threshold or more.
     """
-    dist = sir_distribution(scenario)
+    dist = sir_distribution(scenario) if isinstance(scenario, Scenario) else scenario
     direct = ber_direct(dist, rel_tol=rel_tol, abs_tol=abs_tol)
     alt = ber_gl(dist, order=gl_order)
     disagreement = abs(direct.value - alt)

@@ -1,7 +1,9 @@
 """Special functions and semi-infinite quadrature used by the analytical link model.
 
-Everything in this module is a pure function of its arguments; there is no
-shared mutable state, so all operations are safe to call concurrently.
+The incomplete gamma function and the generalized Gauss-Laguerre rule come
+from scipy.special (gammaincc, roots_genlaguerre).  Everything in this
+module is a pure function of its arguments; there is no shared mutable
+state, so all operations are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from scipy import integrate
+from scipy import integrate, special
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -19,10 +21,6 @@ SQRT_PI = math.sqrt(math.pi)
 # Carlo statistical error dominates every cross-validation.
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
-
-_EPS = 2.220446049250313e-16
-_FPMIN = 1e-300
-_MAX_ITER = 500
 
 MAX_GL_ORDER = 128
 
@@ -65,58 +63,12 @@ def erfc(x: float) -> float:
 
 
 def upper_incomplete_gamma(a: float, x: float) -> float:
-    """Non-regularized upper incomplete gamma integral over (x, inf).
-
-    Evaluated through the regularized forms: a power series for the lower
-    integral when x < a + 1, a modified-Lentz continued fraction for the
-    upper integral otherwise.  Monotonically non-increasing in x.
-    """
+    """Non-regularized upper incomplete gamma Gamma(a) * gammaincc(a, x); non-increasing in x."""
     if not a > 0.0:
         raise ValueError(f"upper_incomplete_gamma requires a > 0, got {a}")
     if not x >= 0.0:
         raise ValueError(f"upper_incomplete_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        return math.exp(math.lgamma(a))
-    if x < a + 1.0:
-        return math.exp(math.lgamma(a)) * (1.0 - _lower_regularized_series(a, x))
-    return math.exp(math.lgamma(a)) * _upper_regularized_cf(a, x)
-
-
-def _lower_regularized_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by series; needs x < a + 1."""
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise RuntimeError(f"incomplete-gamma series stalled at a={a}, x={x}")
-
-
-def _upper_regularized_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by continued fraction; x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise RuntimeError(f"incomplete-gamma continued fraction stalled at a={a}, x={x}")
+    return math.exp(math.lgamma(a)) * float(special.gammaincc(a, x))
 
 
 def integrate_semi_infinite(f: Callable[[float], float],
@@ -173,39 +125,11 @@ class GaussLaguerreRule:
             raise ValueError("weight sum must equal sqrt(pi) to 1e-12")
 
 
-_ALPHA = -0.5  # exponent of the quadrature weight y^alpha * exp(-y)
-
-
-def _orthonormal_eval(order: int, x: float):
-    """Evaluate the orthonormal polynomial recurrence for the y^(-1/2)e^(-y) weight.
-
-    Returns (p_n(x), p_n'(x), sum of p_k(x)^2 for k < n); the last term is the
-    reciprocal Christoffel number that yields the quadrature weight at a root.
-    """
-    p_prev = 0.0
-    dp_prev = 0.0
-    p = 1.0 / math.sqrt(SQRT_PI)
-    dp = 0.0
-    christoffel = 0.0
-    for k in range(order):
-        christoffel += p * p
-        a_k = 2.0 * k + _ALPHA + 1.0
-        b_k = math.sqrt(k * (k + _ALPHA)) if k > 0 else 0.0
-        b_next = math.sqrt((k + 1.0) * (k + 1.0 + _ALPHA))
-        p_next = ((x - a_k) * p - b_k * p_prev) / b_next
-        dp_next = (p + (x - a_k) * dp - b_k * dp_prev) / b_next
-        p_prev, dp_prev = p, dp
-        p, dp = p_next, dp_next
-    return p, dp, christoffel
-
-
 def gauss_laguerre_half(order: int) -> GaussLaguerreRule:
     """Generalized Gauss-Laguerre rule for the weight y^(-1/2) * exp(-y).
 
-    Nodes are found by Newton iteration on the recurrence-defined orthonormal
-    polynomials, marching upward from interlacing initial guesses; weights
-    come from the Christoffel sums.  Exact for polynomials up to degree
-    2*order - 1 under the weight.
+    Built by scipy.special.roots_genlaguerre (the Golub-Welsch eigenvalue
+    method).  Exact for polynomials up to degree 2*order - 1 under the weight.
     """
     if not 1 <= order <= MAX_GL_ORDER:
         raise ValueError(f"order must be in [1, {MAX_GL_ORDER}], got {order}")
@@ -214,33 +138,6 @@ def gauss_laguerre_half(order: int) -> GaussLaguerreRule:
 
 @lru_cache(maxsize=None)
 def _gauss_laguerre_half_cached(order: int) -> GaussLaguerreRule:
-    n = order
-    nodes = []
-    weights = []
-    z = 0.0
-    for i in range(n):
-        if i == 0:
-            z = (1.0 + _ALPHA) * (3.0 + 0.92 * _ALPHA) / (1.0 + 2.4 * n + 1.8 * _ALPHA)
-        elif i == 1:
-            z += (15.0 + 6.25 * _ALPHA) / (1.0 + 0.9 * _ALPHA + 2.5 * n)
-        else:
-            ai = float(i - 1)
-            z += ((1.0 + 2.55 * ai) / (1.9 * ai)
-                  + 1.26 * ai * _ALPHA / (1.0 + 3.5 * ai)) \
-                 * (z - nodes[i - 2]) / (1.0 + 0.3 * _ALPHA)
-        last_step = math.inf
-        for it in range(100):
-            p, dp, _ = _orthonormal_eval(n, z)
-            step = p / dp
-            z -= step
-            if abs(step) <= 1e-14 * (1.0 + abs(z)):
-                break
-            if it > 3 and abs(step) >= last_step:
-                break  # rounding floor reached; step no longer shrinks
-            last_step = abs(step)
-        else:
-            raise RuntimeError(f"Newton iteration stalled at node {i} of order {n}")
-        _, _, christoffel = _orthonormal_eval(n, z)
-        nodes.append(z)
-        weights.append(1.0 / christoffel)
-    return GaussLaguerreRule(order=n, nodes=tuple(nodes), weights=tuple(weights))
+    nodes, weights = special.roots_genlaguerre(order, -0.5)
+    return GaussLaguerreRule(order=order, nodes=tuple(nodes.tolist()),
+                             weights=tuple(weights.tolist()))

@@ -13,6 +13,8 @@ from sirlink import (
     ber_direct,
     ber_gl,
     conditional_ber,
+    gauss_laguerre_half,
+    sir_cdf,
     sir_distribution,
 )
 from sirlink.numerics import SQRT_PI
@@ -69,6 +71,16 @@ class TestBerGl:
         dist = SirDistribution(shape=1.0, beta=1.0)
         assert ber_gl(dist, order=64) == pytest.approx(ber_direct(dist).value, abs=1e-9)
 
+    @pytest.mark.parametrize("order", [8, 128])
+    def test_array_sum_matches_term_loop(self, order):
+        # reference: exactly rounded sum of the scalar terms; the array dot
+        # product sums <= 128 positive terms, so 1e-13 relative bounds its rounding
+        rule = gauss_laguerre_half(order)
+        for dist in (sir_distribution(FIG2), SirDistribution(shape=1.0, beta=1.0)):
+            loop = math.fsum(w * sir_cdf(dist, y) for y, w in zip(rule.nodes, rule.weights))
+            assert ber_gl(dist, order=order) == pytest.approx(loop / (2.0 * SQRT_PI),
+                                                             rel=1e-13)
+
     @pytest.mark.parametrize("order", [7, 0, 129])
     def test_order_domain(self, order):
         with pytest.raises(ValueError):
@@ -81,6 +93,7 @@ class TestBer:
         assert 0.0 < result.ber < 0.5
         assert result.quad_error >= 0.0
         assert result.route_disagreement < 1e-7
+        assert ber(sir_distribution(FIG2)) == result
 
     def test_full_grid_range_and_agreement(self):
         for _, scenario in BER_GRID:

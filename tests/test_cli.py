@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import CONFIG_DIR
-from sirlink import ber
+from sirlink import CrossCheckError, ber
 from sirlink.cli import (
     ConfigError,
     SweepPointError,
@@ -159,10 +159,21 @@ class TestRunSweep:
 
 class TestValidate:
     def test_diversity_grid_passes(self):
-        rows = validate(parse_config(DIVERSITY_GRID), samples=10 ** 5, seed=21)
+        spec = parse_config(DIVERSITY_GRID)
+        rows = validate(spec, samples=10 ** 5, seed=21)
         assert all(row.passed for row in rows)
         assert all(abs(row.ber - row.mc_mean) <= 3.0 * row.mc_std_error for row in rows)
         assert all(row.ks_stat < 0.005 for row in rows)
+        swept = run_sweep(spec)
+        assert [(r.ber, r.quad_err) for r in rows] == [(r.ber, r.quad_err) for r in swept]
+
+    def test_cross_check_failure_names_point(self):
+        # shape-0.5 law: the Gauss-Laguerre route cannot match the direct route
+        with pytest.raises(SweepPointError) as info:
+            validate(parse_config(MINIMAL.replace("m = 2", "m = 0.5")), samples=10 ** 4,
+                     seed=0)
+        assert info.value.point["m"] == 0.5
+        assert isinstance(info.value.cause, CrossCheckError)
 
     def test_corrupted_beta_fails(self):
         rows = validate(parse_config(DIVERSITY_GRID), samples=10 ** 5, seed=21,
@@ -240,12 +251,17 @@ class TestCliProcess:
         assert proc.returncode == 1
         assert "m must be >= 0.5" in proc.stderr
 
-    def test_cross_check_exit_code(self, tmp_path):
-        # shape-0.5 law: GL route cannot match the direct route at 1e-7
-        cfg = tmp_path / "severe.ini"
-        cfg.write_text(MINIMAL.replace("m = 2", "m = 0.5"))
-        proc = run_cli("point", "--config", str(cfg))
+    @pytest.mark.parametrize("flags", [
+        # shape 0.5: GL route cannot match the direct route at 1e-7
+        "--m 0.5 --M 1 --p1_dbm 15 --p2_dbm 6 --s 90 --t 90 --n 3",
+        # shape 320: the density overflows a float
+        "--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3",
+    ], ids=["shape-0.5", "shape-320"])
+    def test_numerical_failure_exit_code(self, flags):
+        proc = run_cli("point", *flags.split())
         assert proc.returncode == 2
+        assert "evaluation failed at grid point" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_usage_error_exit_code(self):
         proc = run_cli("sweep", "--axis", "bogus")
