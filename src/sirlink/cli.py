@@ -32,7 +32,7 @@ from .channel import (
     sir_distribution,
     sir_pdf,
 )
-from .montecarlo import RngStream, estimate_ber, ks_statistic, sample_sir
+from .montecarlo import estimate_with_draws, ks_statistic
 from .numerics import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, QuadratureError
 
 SCENARIO_KEYS = ("m", "M", "sigma", "rho", "p1_dbm", "p2_dbm", "s", "t", "n")
@@ -282,20 +282,21 @@ def _grid_points(spec: SweepSpec):
             yield point
 
 
+def _analytic_row(point: dict, spec: SweepSpec, corrupt_beta: float = 1.0) -> SweepRow:
+    """The analytical BER of one grid point; the law's beta is scaled by corrupt_beta."""
+    try:
+        dist = sir_distribution(_build_scenario(point))
+        dist = SirDistribution(shape=dist.shape, beta=dist.beta * corrupt_beta)
+        result = ber(dist, rel_tol=spec.rel_tol, abs_tol=spec.abs_tol)
+    except (CrossCheckError, QuadratureError, ValueError, ArithmeticError) as exc:
+        raise SweepPointError(point, exc) from exc
+    return SweepRow(**point, shape=dist.shape, beta=dist.beta,
+                    ber=result.ber, quad_err=result.quad_error)
+
+
 def run_sweep(spec: SweepSpec) -> list:
     """Evaluate the analytical BER at every grid point of the spec."""
-    rows = []
-    for point in _grid_points(spec):
-        try:
-            scenario = _build_scenario(point)
-            dist = sir_distribution(scenario)
-            result = ber(dist, rel_tol=spec.rel_tol, abs_tol=spec.abs_tol)
-        except (ConfigError, CrossCheckError, QuadratureError, ValueError,
-                ArithmeticError) as exc:
-            raise SweepPointError(point, exc) from exc
-        rows.append(SweepRow(**point, shape=dist.shape, beta=dist.beta,
-                             ber=result.ber, quad_err=result.quad_error))
-    return rows
+    return [_analytic_row(point, spec) for point in _grid_points(spec)]
 
 
 def _derived_seed(master: int, *key: int) -> int:
@@ -306,43 +307,34 @@ def ks_threshold(samples: int) -> float:
     return max(KS_BASE_THRESHOLD, 1.95 / math.sqrt(samples))
 
 
-def validate(spec: SweepSpec, samples: Optional[int] = None, seed: Optional[int] = None,
-             corrupt_beta: float = 1.0) -> list:
+def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     """Cross-validate every grid point against the Monte Carlo oracle.
 
-    A point passes when the analytic BER lies within 3 standard errors of the
-    Monte Carlo estimate and the KS distance between sampled SIRs and the
-    analytic distribution stays below the sample-size-aware threshold.
+    Each point draws spec.samples SIRs once.  It passes when the analytic BER
+    lies within 3 standard errors of their Monte Carlo mean and their KS
+    distance to the analytic distribution stays below the sample-size-aware
+    threshold.
 
     corrupt_beta is a test hook: it scales the analytic distribution's beta
     while the Monte Carlo side keeps sampling the physical model, so any
     value != 1 must make points fail.
     """
-    samples = spec.samples if samples is None else samples
-    seed = spec.seed if seed is None else seed
-    if samples < 10 ** 4:
-        raise ValueError(f"validation needs at least 1e4 samples, got {samples}")
-    threshold = ks_threshold(samples)
+    if spec.samples < 10 ** 4:
+        raise ValueError(f"validation needs at least 1e4 samples, got {spec.samples}")
+    threshold = ks_threshold(spec.samples)
     rows = []
     for index, point in enumerate(_grid_points(spec)):
+        row = _analytic_row(point, spec, corrupt_beta)
         try:
-            scenario = _build_scenario(point)
-            dist = sir_distribution(scenario)
-            dist = SirDistribution(shape=dist.shape, beta=dist.beta * corrupt_beta)
-            result = ber(dist, rel_tol=spec.rel_tol, abs_tol=spec.abs_tol)
-            estimate = estimate_ber(scenario, samples, _derived_seed(seed, index, 0))
-            draws = sample_sir(RngStream(_derived_seed(seed, index, 1)), scenario,
-                               size=samples)
-            ks = ks_statistic(draws, dist)
-        except (ConfigError, CrossCheckError, QuadratureError, ValueError,
-                ArithmeticError) as exc:
+            estimate, draws = estimate_with_draws(_build_scenario(point), spec.samples,
+                                                  _derived_seed(spec.seed, index, 0))
+            ks = ks_statistic(draws, SirDistribution(shape=row.shape, beta=row.beta))
+        except (ValueError, ArithmeticError) as exc:
             raise SweepPointError(point, exc) from exc
-        ok = (abs(result.ber - estimate.mean) <= 3.0 * estimate.std_error
-              and ks < threshold)
-        rows.append(SweepRow(**point, shape=dist.shape, beta=dist.beta,
-                             ber=result.ber, quad_err=result.quad_error,
-                             mc_mean=estimate.mean, mc_std_error=estimate.std_error,
-                             ks_stat=ks, passed=ok))
+        ok = abs(row.ber - estimate.mean) <= 3.0 * estimate.std_error and ks < threshold
+        rows.append(dataclasses.replace(row, mc_mean=estimate.mean,
+                                        mc_std_error=estimate.std_error,
+                                        ks_stat=ks, passed=ok))
     return rows
 
 
@@ -442,9 +434,12 @@ def _spec_from_args(args) -> SweepSpec:
 def _write_output(text: str, out_path: Optional[str]) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -462,8 +457,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             text = rows_to_csv(run_sweep(spec))
         elif args.command == "validate":
-            rows = validate(spec, samples=args.samples, seed=args.seed,
-                            corrupt_beta=args.corrupt_beta)
+            rows = validate(spec, corrupt_beta=args.corrupt_beta)
             text = rows_to_csv(rows, validation=True)
             _write_output(text, args.out)
             if not all(row.passed for row in rows):
@@ -477,12 +471,9 @@ def main(argv=None) -> int:
                 raise ConfigError("dist needs 0 < ymin < ymax and points >= 2")
             dist = sir_distribution(spec.base)
             grid = np.geomspace(args.ymin, args.ymax, args.points)
-            lines = ["y,pdf,cdf"]
-            for y in grid:
-                lines.append(",".join(_fmt(v) for v in
-                                      (float(y), sir_pdf(dist, float(y)),
-                                       sir_cdf(dist, float(y)))))
-            text = "\n".join(lines) + "\n"
+            columns = zip(grid.tolist(), sir_pdf(dist, grid).tolist(),
+                          sir_cdf(dist, grid).tolist())
+            text = "\n".join(["y,pdf,cdf"] + [",".join(map(_fmt, row)) for row in columns]) + "\n"
         _write_output(text, args.out)
         return 0
     except ConfigError as exc:
@@ -491,7 +482,7 @@ def main(argv=None) -> int:
     except SweepPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc.cause, ConfigError) else 2
-    except (CrossCheckError, QuadratureError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

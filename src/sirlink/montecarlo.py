@@ -109,40 +109,29 @@ def sample_sir(rng: RngStream, scenario: Scenario, size=None):
     return float(out) if size is None else out
 
 
-def _block_partials(scenario: Scenario, samples: int, seed: int,
-                    block_size: int = BLOCK_SIZE):
-    """Yield (block_index, count, mean, sum_sq_dev) of conditional BER per block.
-
-    Blocks are independent given the master seed; folding the partials in
-    block index order reconstructs estimate_ber exactly, regardless of which
-    worker produced which block.
-    """
-    root = RngStream(seed)
-    offset = 0
-    index = 0
-    while offset < samples:
-        count = min(block_size, samples - offset)
-        sirs = sample_sir(root.substream(index), scenario, size=count)
-        p = 0.5 * _erfc_vec(np.sqrt(sirs))
-        mean = float(p.mean())
-        m2 = float(np.sum((p - mean) ** 2))
-        yield index, count, mean, m2
-        offset += count
-        index += 1
-
-
-def estimate_ber(scenario: Scenario, samples: int, seed: int) -> McEstimate:
-    """Semi-analytic BER estimate: average conditional BER over sampled SIRs.
-
-    Unbiased for the analytical BER integral.  Identical (seed, samples)
-    reproduce the mean bit-for-bit.
-    """
+def _block_draws(scenario: Scenario, samples: int, seed: int):
+    """SIR draws in block order; block i comes from sub-stream i of the seed."""
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
+    root = RngStream(seed)
+    return (sample_sir(root.substream(index), scenario, size=min(BLOCK_SIZE, samples - start))
+            for index, start in enumerate(range(0, samples, BLOCK_SIZE)))
+
+
+def _block_partials(blocks):
+    """Yield (block_index, count, mean, sum_sq_dev) of conditional BER per block of SIRs."""
+    for index, sirs in enumerate(blocks):
+        p = 0.5 * _erfc_vec(np.sqrt(sirs))
+        mean = float(p.mean())
+        yield index, sirs.size, mean, float(np.sum((p - mean) ** 2))
+
+
+def _fold(blocks, seed: int) -> McEstimate:
+    """Fold the conditional BER of SIR blocks, in block order, into one estimate."""
     n_acc = 0
     mean_acc = 0.0
     m2_acc = 0.0
-    for _, count, mean, m2 in _block_partials(scenario, samples, seed):
+    for _, count, mean, m2 in _block_partials(blocks):
         delta = mean - mean_acc
         total = n_acc + count
         mean_acc += delta * count / total
@@ -153,6 +142,22 @@ def estimate_ber(scenario: Scenario, samples: int, seed: int) -> McEstimate:
                       std_error=math.sqrt(variance / n_acc),
                       samples=n_acc,
                       seed=int(seed))
+
+
+def estimate_ber(scenario: Scenario, samples: int, seed: int) -> McEstimate:
+    """Semi-analytic BER estimate: average conditional BER over sampled SIRs.
+
+    Unbiased for the analytical BER integral.  Identical (seed, samples)
+    reproduce the mean bit-for-bit.  Blocks are drawn and folded one at a
+    time, so memory stays O(block) at any sample count.
+    """
+    return _fold(_block_draws(scenario, samples, seed), seed)
+
+
+def estimate_with_draws(scenario: Scenario, samples: int, seed: int):
+    """estimate_ber's estimate, same bits, with the SIRs it averaged in one array."""
+    draws = np.concatenate(list(_block_draws(scenario, samples, seed)))
+    return _fold(np.split(draws, range(BLOCK_SIZE, samples, BLOCK_SIZE)), seed), draws
 
 
 def ks_statistic(samples, dist: SirDistribution) -> float:

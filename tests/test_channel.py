@@ -247,6 +247,17 @@ class TestDistributionInvariants:
                 assert sir_pdf(dist, y) == pytest.approx(sir_pdf(reference, y), rel=1e-12)
                 assert sir_cdf(dist, y) == pytest.approx(sir_cdf(reference, y), rel=1e-12)
 
+    def test_array_call_matches_scalar_calls(self):
+        # `sirlink dist` evaluates its whole y grid in one array call; the
+        # vectorized power may round differently from the scalar one, by a
+        # few ulp at most
+        ys = np.geomspace(1e-6, 1e6, 997)
+        for dist in CHANNEL_GRID:
+            for law in (sir_pdf, sir_cdf):
+                looped = np.array([law(dist, float(y)) for y in ys])
+                np.testing.assert_allclose(law(dist, ys), looped, rtol=8 * np.finfo(float).eps,
+                                           atol=0.0)
+
     def test_heavy_tail_index(self):
         # 1 - F(y) ~ shape/(beta*y) for large y
         dist = SirDistribution(shape=1.0, beta=1.0)

@@ -1,16 +1,21 @@
 """Config parsing, sweep runner, validation harness and CLI process tests."""
 
+import dataclasses
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR
-from sirlink import CrossCheckError, ber
+from sirlink import CrossCheckError, SirDistribution, ber, estimate_ber, ks_statistic
 from sirlink.cli import (
     ConfigError,
     SweepPointError,
+    _build_scenario,
+    _derived_seed,
+    _grid_points,
     emit_config,
     ks_threshold,
     parse_config,
@@ -18,6 +23,7 @@ from sirlink.cli import (
     run_sweep,
     validate,
 )
+from sirlink.montecarlo import _block_draws
 
 MINIMAL = """
 [scenario]
@@ -160,7 +166,7 @@ class TestRunSweep:
 class TestValidate:
     def test_diversity_grid_passes(self):
         spec = parse_config(DIVERSITY_GRID)
-        rows = validate(spec, samples=10 ** 5, seed=21)
+        rows = validate(dataclasses.replace(spec, samples=10 ** 5, seed=21))
         assert all(row.passed for row in rows)
         assert all(abs(row.ber - row.mc_mean) <= 3.0 * row.mc_std_error for row in rows)
         assert all(row.ks_stat < 0.005 for row in rows)
@@ -170,23 +176,39 @@ class TestValidate:
     def test_cross_check_failure_names_point(self):
         # shape-0.5 law: the Gauss-Laguerre route cannot match the direct route
         with pytest.raises(SweepPointError) as info:
-            validate(parse_config(MINIMAL.replace("m = 2", "m = 0.5")), samples=10 ** 4,
-                     seed=0)
+            validate(dataclasses.replace(parse_config(MINIMAL.replace("m = 2", "m = 0.5")),
+                                         samples=10 ** 4, seed=0))
         assert info.value.point["m"] == 0.5
         assert isinstance(info.value.cause, CrossCheckError)
 
     def test_corrupted_beta_fails(self):
-        rows = validate(parse_config(DIVERSITY_GRID), samples=10 ** 5, seed=21,
-                        corrupt_beta=1.5)
+        rows = validate(dataclasses.replace(parse_config(DIVERSITY_GRID), samples=10 ** 5,
+                                            seed=21), corrupt_beta=1.5)
         assert all(not row.passed for row in rows)
 
     def test_small_sample_band_scales(self):
-        rows = validate(parse_config(MINIMAL), samples=10 ** 4, seed=22)
+        rows = validate(dataclasses.replace(parse_config(MINIMAL), samples=10 ** 4, seed=22))
         assert all(row.passed for row in rows)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
-            validate(parse_config(MINIMAL), samples=5000, seed=0)
+            validate(dataclasses.replace(parse_config(MINIMAL), samples=5000, seed=0))
+
+    def test_one_draw_feeds_mean_and_ks(self):
+        # each row's MC mean and KS statistic come from one block draw on the
+        # row's sub-key-0 seed
+        spec = dataclasses.replace(parse_config(DIVERSITY_GRID), samples=3 * 10 ** 4 + 7,
+                                   seed=23)
+        rows = validate(spec)
+        for index, (row, point) in enumerate(zip(rows, _grid_points(spec))):
+            scenario = _build_scenario(point)
+            seed = _derived_seed(spec.seed, index, 0)
+            estimate = estimate_ber(scenario, spec.samples, seed)
+            assert (row.mc_mean, row.mc_std_error) == (estimate.mean, estimate.std_error)
+            draws = np.concatenate(list(_block_draws(scenario, spec.samples, seed)))
+            assert draws.size == spec.samples
+            dist = SirDistribution(shape=row.shape, beta=row.beta)
+            assert row.ks_stat == ks_statistic(draws, dist)
 
     def test_ks_threshold_scales(self):
         assert ks_threshold(10 ** 6) == 0.005
@@ -205,7 +227,7 @@ class TestCsv:
         assert text.endswith("\n")
 
     def test_validation_header(self):
-        rows = validate(parse_config(MINIMAL), samples=10 ** 4, seed=5)
+        rows = validate(dataclasses.replace(parse_config(MINIMAL), samples=10 ** 4, seed=5))
         text = rows_to_csv(rows, validation=True)
         header = text.splitlines()[0]
         assert header.endswith(",mc_mean,mc_std_error,ks_stat,pass")
@@ -251,16 +273,27 @@ class TestCliProcess:
         assert proc.returncode == 1
         assert "m must be >= 0.5" in proc.stderr
 
-    @pytest.mark.parametrize("flags", [
+    @pytest.mark.parametrize("command, flags, message", [
         # shape 0.5: GL route cannot match the direct route at 1e-7
-        "--m 0.5 --M 1 --p1_dbm 15 --p2_dbm 6 --s 90 --t 90 --n 3",
+        ("point", "--m 0.5 --M 1 --p1_dbm 15 --p2_dbm 6 --s 90 --t 90 --n 3",
+         "evaluation failed at grid point"),
         # shape 320: the density overflows a float
-        "--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3",
-    ], ids=["shape-0.5", "shape-320"])
-    def test_numerical_failure_exit_code(self, flags):
-        proc = run_cli("point", *flags.split())
+        ("point", "--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3",
+         "evaluation failed at grid point"),
+        ("dist", "--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3 --points 3",
+         "numerical error"),
+    ], ids=["shape-0.5", "shape-320", "dist-shape-320"])
+    def test_numerical_failure_exit_code(self, command, flags, message):
+        proc = run_cli(command, *flags.split())
         assert proc.returncode == 2
-        assert "evaluation failed at grid point" in proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unwritable_output_exit_code(self, tmp_path):
+        proc = run_cli("point", "--config", os.path.join(CONFIG_DIR, "fig3_validate.ini"),
+                       "--out", str(tmp_path / "missing" / "x.csv"))
+        assert proc.returncode == 1
+        assert "config error: cannot write output" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_usage_error_exit_code(self):

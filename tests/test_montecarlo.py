@@ -18,7 +18,7 @@ from sirlink import (
     sir_cdf,
     sir_distribution,
 )
-from sirlink.montecarlo import _block_partials
+from sirlink.montecarlo import _block_draws, _block_partials
 
 N = 10 ** 6
 
@@ -143,10 +143,18 @@ class TestEstimateBer:
         b = estimate_ber(FIG2, 10 ** 5, seed=13)
         assert a.mean == b.mean and a.std_error == b.std_error
 
+    def test_frozen_bits(self):
+        # values of the 65536-sample block layout and its in-order fold; any
+        # change to either changes these bits
+        estimate = estimate_ber(FIG2, 10 ** 5, seed=13)
+        assert estimate.mean == 0.002109810213258005
+        assert estimate.std_error == 2.7710899228513585e-05
+
     def test_block_schedule_independence(self):
         # folding out-of-order-computed block partials in index order must
         # reproduce the sequential estimate bit for bit
-        parts = sorted(_block_partials(FIG2, 3 * 65536 + 17, seed=14), reverse=True)
+        parts = sorted(_block_partials(_block_draws(FIG2, 3 * 65536 + 17, seed=14)),
+                       reverse=True)
         n_acc, mean_acc, m2_acc = 0, 0.0, 0.0
         for _, count, mean, m2 in sorted(parts):
             delta = mean - mean_acc
