@@ -11,7 +11,10 @@ magnitude less variance.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import erfc as _erfc_vec
@@ -22,6 +25,12 @@ from .channel import Scenario, SirDistribution, sir_cdf
 # and block statistics are folded in block order.  Any scheduling of blocks
 # across workers therefore reproduces the single-worker result exactly.
 BLOCK_SIZE = 1 << 16
+
+
+# Blocks and KS chunks run on a thread pool of one worker per CPU this process
+# may use, one pool per call; numpy's samplers and ufunc loops release the GIL.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -109,29 +118,35 @@ def sample_sir(rng: RngStream, scenario: Scenario, size=None):
     return float(out) if size is None else out
 
 
-def _block_draws(scenario: Scenario, samples: int, seed: int):
-    """SIR draws in block order; block i comes from sub-stream i of the seed."""
+def _blocks(samples: int) -> list:
+    """(index, start, stop) of every block of a samples-long draw, in block order."""
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
-    root = RngStream(seed)
-    return (sample_sir(root.substream(index), scenario, size=min(BLOCK_SIZE, samples - start))
-            for index, start in enumerate(range(0, samples, BLOCK_SIZE)))
+    return [(index, start, min(start + BLOCK_SIZE, samples))
+            for index, start in enumerate(range(0, samples, BLOCK_SIZE))]
 
 
-def _block_partials(blocks):
-    """Yield (block_index, count, mean, sum_sq_dev) of conditional BER per block of SIRs."""
-    for index, sirs in enumerate(blocks):
-        p = 0.5 * _erfc_vec(np.sqrt(sirs))
-        mean = float(p.mean())
-        yield index, sirs.size, mean, float(np.sum((p - mean) ** 2))
+def _block_partial(scenario: Scenario, root: RngStream, out, block) -> tuple:
+    """(count, mean, sum_sq_dev) of conditional BER over one block of SIRs.
+
+    Block (index, start, stop) is drawn on sub-stream index of root; when out
+    is an array, the draws are also stored in out[start:stop].
+    """
+    index, start, stop = block
+    sirs = sample_sir(root.substream(index), scenario, size=stop - start)
+    if out is not None:
+        out[start:stop] = sirs
+    p = 0.5 * _erfc_vec(np.sqrt(sirs))
+    mean = float(p.mean())
+    return sirs.size, mean, float(np.sum((p - mean) ** 2))
 
 
-def _fold(blocks, seed: int) -> McEstimate:
-    """Fold the conditional BER of SIR blocks, in block order, into one estimate."""
+def _fold(partials, seed: int) -> McEstimate:
+    """Fold per-block (count, mean, sum_sq_dev) partials, in block order, into one estimate."""
     n_acc = 0
     mean_acc = 0.0
     m2_acc = 0.0
-    for _, count, mean, m2 in _block_partials(blocks):
+    for count, mean, m2 in partials:
         delta = mean - mean_acc
         total = n_acc + count
         mean_acc += delta * count / total
@@ -144,20 +159,37 @@ def _fold(blocks, seed: int) -> McEstimate:
                       seed=int(seed))
 
 
+def _estimate(scenario: Scenario, samples: int, seed: int, out=None) -> McEstimate:
+    """Draw the blocks on the pool and fold their partials as they come, in block order."""
+    blocks = _blocks(samples)
+    with ThreadPoolExecutor(WORKERS) as pool:
+        return _fold(pool.map(partial(_block_partial, scenario, RngStream(seed), out), blocks),
+                     seed)
+
+
 def estimate_ber(scenario: Scenario, samples: int, seed: int) -> McEstimate:
     """Semi-analytic BER estimate: average conditional BER over sampled SIRs.
 
     Unbiased for the analytical BER integral.  Identical (seed, samples)
-    reproduce the mean bit-for-bit.  Blocks are drawn and folded one at a
-    time, so memory stays O(block) at any sample count.
+    reproduce the mean bit-for-bit.  Workers keep only their current block,
+    so memory stays O(WORKERS * block) at any sample count.
     """
-    return _fold(_block_draws(scenario, samples, seed), seed)
+    return _estimate(scenario, samples, seed)
 
 
 def estimate_with_draws(scenario: Scenario, samples: int, seed: int):
     """estimate_ber's estimate, same bits, with the SIRs it averaged in one array."""
-    draws = np.concatenate(list(_block_draws(scenario, samples, seed)))
-    return _fold(np.split(draws, range(BLOCK_SIZE, samples, BLOCK_SIZE)), seed), draws
+    draws = np.empty(samples)
+    return _estimate(scenario, samples, seed, draws), draws
+
+
+def _ks_chunk(ordered, dist: SirDistribution, bounds) -> tuple:
+    """The two one-sided KS maxima over ordered[start:stop] of a sorted sample."""
+    start, stop = bounds
+    n = ordered.size
+    cdf = np.asarray(sir_cdf(dist, ordered[start:stop]))
+    steps = np.arange(start + 1, stop + 1, dtype=float) / n
+    return np.max(steps - cdf), np.max(cdf - (steps - 1.0 / n))
 
 
 def ks_statistic(samples, dist: SirDistribution) -> float:
@@ -166,8 +198,10 @@ def ks_statistic(samples, dist: SirDistribution) -> float:
     n = arr.size
     if n == 0:
         raise ValueError("samples must be non-empty")
-    cdf = np.asarray(sir_cdf(dist, arr))
-    steps = np.arange(1, n + 1, dtype=float) / n
-    d_plus = float(np.max(steps - cdf))
-    d_minus = float(np.max(cdf - (steps - 1.0 / n)))
+    # Elementwise arithmetic per chunk and an exact max: the same bits as one
+    # pass over the whole sorted array.
+    chunks = [(start, min(start + BLOCK_SIZE, n)) for start in range(0, n, BLOCK_SIZE)]
+    with ThreadPoolExecutor(WORKERS) as pool:
+        maxima = np.array(list(pool.map(partial(_ks_chunk, arr, dist), chunks)))
+    d_plus, d_minus = np.max(maxima, axis=0).tolist()
     return max(d_plus, d_minus)

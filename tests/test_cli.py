@@ -4,12 +4,22 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR
-from sirlink import CrossCheckError, SirDistribution, ber, estimate_ber, ks_statistic
+from sirlink import (
+    CrossCheckError,
+    RngStream,
+    SirDistribution,
+    ber,
+    estimate_ber,
+    ks_statistic,
+    montecarlo,
+    sample_sir,
+)
 from sirlink.cli import (
     ConfigError,
     SweepPointError,
@@ -18,12 +28,12 @@ from sirlink.cli import (
     _grid_points,
     emit_config,
     ks_threshold,
+    main,
     parse_config,
     rows_to_csv,
     run_sweep,
     validate,
 )
-from sirlink.montecarlo import _block_draws
 
 MINIMAL = """
 [scenario]
@@ -68,6 +78,29 @@ n = 3.0
 [sweep]
 axis = M
 values = 1, 2, 3, 4
+"""
+
+
+# The study-2 scenario (tests' FIG2) as a one-point config.
+FIG2_POINT = """
+[scenario]
+m = 3
+M = 2
+p1_dbm = 17
+p2_dbm = 10
+s = 100
+t = 100
+n = 3.5
+"""
+
+# `validate --config configs/fig3_validate.ini --samples 200003` as printed by
+# the single-threaded block loop: four blocks per point, the last one short.
+FIG3_VALIDATE_200003 = """\
+m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err,mc_mean,mc_std_error,ks_stat,pass
+2,1,1,1,15,6,90,90,3,2,0.251785082359,0.0103795784026,1.87446692878e-13,0.0104464331059,7.29353521855e-05,0.00108544370988,1
+2,2,1,1,15,6,90,90,3,4,0.251785082359,0.00109323449706,6.40074111356e-13,0.00109865993375,1.51437495469e-05,0.0015462389839,1
+2,3,1,1,15,6,90,90,3,6,0.251785082359,0.000188460197724,8.95929825521e-13,0.000186511923749,4.07425102331e-06,0.00235027798181,1
+2,4,1,1,15,6,90,90,3,8,0.251785082359,4.23973991199e-05,4.5366983243e-13,4.41224830965e-05,1.58211033536e-06,0.00195823598266,1
 """
 
 
@@ -205,10 +238,47 @@ class TestValidate:
             seed = _derived_seed(spec.seed, index, 0)
             estimate = estimate_ber(scenario, spec.samples, seed)
             assert (row.mc_mean, row.mc_std_error) == (estimate.mean, estimate.std_error)
-            draws = np.concatenate(list(_block_draws(scenario, spec.samples, seed)))
+            root = RngStream(seed)
+            draws = np.concatenate([
+                sample_sir(root.substream(i), scenario,
+                           size=min(montecarlo.BLOCK_SIZE, spec.samples - start))
+                for i, start in enumerate(range(0, spec.samples, montecarlo.BLOCK_SIZE))])
             assert draws.size == spec.samples
             dist = SirDistribution(shape=row.shape, beta=row.beta)
             assert row.ks_stat == ks_statistic(draws, dist)
+
+    def test_worker_count_keeps_rows(self, monkeypatch):
+        spec = dataclasses.replace(parse_config(FIG2_POINT), samples=3 * 65536 + 17, seed=24)
+        columns = []
+        for workers in (1, 4):
+            monkeypatch.setattr(montecarlo, "WORKERS", workers)
+            columns.append([(r.mc_mean, r.mc_std_error, r.ks_stat) for r in validate(spec)])
+        assert columns[0] == columns[1]
+
+    def test_worker_failure_names_point(self, monkeypatch, capsys, tmp_path):
+        # block 1 of every point fails inside a pool worker
+        draw = montecarlo.sample_sir
+
+        def failing(rng, scenario, size=None):
+            if rng._spawn_key[-1] == 1:
+                raise ArithmeticError("overflow in block 1")
+            return draw(rng, scenario, size)
+
+        monkeypatch.setattr(montecarlo, "sample_sir", failing)
+        spec = dataclasses.replace(parse_config(FIG2_POINT), samples=3 * 65536 + 17, seed=25)
+        threads = threading.active_count()
+        with pytest.raises(SweepPointError) as info:
+            validate(spec)
+        assert info.value.point["M"] == 2
+        assert isinstance(info.value.cause, ArithmeticError)
+        assert str(info.value.cause) == "overflow in block 1"
+        assert threading.active_count() == threads
+        cfg = tmp_path / "fig2.ini"
+        cfg.write_text(FIG2_POINT)
+        assert main(["validate", "--config", str(cfg), "--samples", "200000"]) == 2
+        err = capsys.readouterr().err
+        assert "overflow in block 1" in err and "Traceback" not in err
+        assert threading.active_count() == threads
 
     def test_ks_threshold_scales(self):
         assert ks_threshold(10 ** 6) == 0.005
@@ -265,6 +335,12 @@ class TestCliProcess:
         assert ok.returncode == 0
         bad = run_cli("validate", "--config", str(cfg), "--corrupt-beta", "1.5")
         assert bad.returncode == 3
+
+    def test_validate_frozen_bytes(self):
+        proc = run_cli("validate", "--config", os.path.join(CONFIG_DIR, "fig3_validate.ini"),
+                       "--samples", "200003")
+        assert proc.returncode == 0
+        assert proc.stdout == FIG3_VALIDATE_200003
 
     def test_parse_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.ini"

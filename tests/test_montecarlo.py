@@ -1,6 +1,8 @@
 """Monte Carlo tests: sampler moments, distributional agreement, determinism."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +16,12 @@ from sirlink import (
     estimate_ber,
     gamma_variate,
     ks_statistic,
+    montecarlo,
     sample_sir,
     sir_cdf,
     sir_distribution,
 )
-from sirlink.montecarlo import _block_draws, _block_partials
+from sirlink.montecarlo import BLOCK_SIZE, _block_partial, _blocks, estimate_with_draws
 
 N = 10 ** 6
 
@@ -153,8 +156,9 @@ class TestEstimateBer:
     def test_block_schedule_independence(self):
         # folding out-of-order-computed block partials in index order must
         # reproduce the sequential estimate bit for bit
-        parts = sorted(_block_partials(_block_draws(FIG2, 3 * 65536 + 17, seed=14)),
-                       reverse=True)
+        root = RngStream(14)
+        parts = [(block[0], *_block_partial(FIG2, root, None, block))
+                 for block in reversed(_blocks(3 * 65536 + 17))]
         n_acc, mean_acc, m2_acc = 0, 0.0, 0.0
         for _, count, mean, m2 in sorted(parts):
             delta = mean - mean_acc
@@ -164,6 +168,39 @@ class TestEstimateBer:
             n_acc = total
         reference = estimate_ber(FIG2, 3 * 65536 + 17, seed=14)
         assert mean_acc == reference.mean
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_worker_count_keeps_bits(self, monkeypatch, workers):
+        # values taken from the single-threaded block loop this pool replaced;
+        # a short switch interval makes the workers interleave
+        monkeypatch.setattr(montecarlo, "WORKERS", workers)
+        samples = 3 * 65536 + 17
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            estimate = estimate_ber(FIG2, samples, seed=14)
+            with_draws, draws = estimate_with_draws(FIG2, samples, seed=14)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (estimate.mean, estimate.std_error) == (0.002128999602062179, 1.97129040749607e-05)
+        assert with_draws == estimate
+        root = RngStream(14)
+        blocks = [sample_sir(root.substream(i), FIG2, size=min(BLOCK_SIZE, samples - start))
+                  for i, start in enumerate(range(0, samples, BLOCK_SIZE))]
+        assert np.array_equal(draws, np.concatenate(blocks))
+        assert ks_statistic(draws, sir_distribution(FIG2)) == 0.0014256987422021083
+
+    def test_memory_stays_per_block(self, monkeypatch):
+        # two workers hold a few blocks each; the whole draw would be 32 blocks
+        monkeypatch.setattr(montecarlo, "WORKERS", 2)
+        block_bytes = BLOCK_SIZE * 8
+        tracemalloc.start()
+        try:
+            estimate_ber(FIG2, 32 * BLOCK_SIZE, seed=19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4 * block_bytes
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
