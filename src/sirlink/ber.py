@@ -17,8 +17,6 @@ import numpy as np
 
 from .channel import Scenario, SirDistribution, sir_cdf, sir_distribution, sir_pdf
 from .numerics import (
-    DEFAULT_ABS_TOL,
-    DEFAULT_REL_TOL,
     MAX_GL_ORDER,
     SQRT_PI,
     QuadratureResult,
@@ -77,15 +75,16 @@ def conditional_ber(gamma: float) -> float:
     return 0.5 * math.erfc(math.sqrt(gamma))
 
 
-def ber_direct(dist: SirDistribution,
-               rel_tol: float = DEFAULT_REL_TOL,
-               abs_tol: float = DEFAULT_ABS_TOL) -> QuadratureResult:
-    """Average BER by adaptive quadrature of conditional_ber against the SIR density."""
+def ber_direct(dist: SirDistribution) -> QuadratureResult:
+    """Average BER by adaptive quadrature of conditional_ber against the SIR density.
+
+    The tolerances are integrate_semi_infinite's defaults, set in numerics.
+    """
 
     def integrand(y: float) -> float:
         return conditional_ber(y) * sir_pdf(dist, y)
 
-    return integrate_semi_infinite(integrand, rel_tol=rel_tol, abs_tol=abs_tol)
+    return integrate_semi_infinite(integrand)
 
 
 def ber_gl(dist: SirDistribution, order: int = DEFAULT_GL_ORDER) -> float:
@@ -102,9 +101,6 @@ def ber_gl(dist: SirDistribution, order: int = DEFAULT_GL_ORDER) -> float:
 
 
 def ber(scenario: Scenario | SirDistribution,
-        rel_tol: float = DEFAULT_REL_TOL,
-        abs_tol: float = DEFAULT_ABS_TOL,
-        gl_order: int = DEFAULT_GL_ORDER,
         cross_check_threshold: float = CROSS_CHECK_THRESHOLD) -> BerResult:
     """Average BER of a scenario or SIR law, cross-checked between both routes.
 
@@ -112,8 +108,8 @@ def ber(scenario: Scenario | SirDistribution,
     raises CrossCheckError when the routes differ by the threshold or more.
     """
     dist = sir_distribution(scenario) if isinstance(scenario, Scenario) else scenario
-    direct = ber_direct(dist, rel_tol=rel_tol, abs_tol=abs_tol)
-    alt = ber_gl(dist, order=gl_order)
+    direct = ber_direct(dist)
+    alt = ber_gl(dist)
     disagreement = abs(direct.value - alt)
     if not disagreement < cross_check_threshold:
         raise CrossCheckError(direct.value, alt, cross_check_threshold)

@@ -20,6 +20,12 @@ class SingularityError(ValueError):
     """Density evaluation requested exactly at an integrable singularity."""
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class FadingParams:
     """Nakagami severity m (>= 0.5) and mean branch power sigma = E(h^2) > 0."""
@@ -28,6 +34,7 @@ class FadingParams:
     sigma: float = 1.0
 
     def __post_init__(self):
+        _require_finite(m=self.m, sigma=self.sigma)
         if not self.m >= 0.5:
             raise ValueError(f"Nakagami parameter m must be >= 0.5, got {self.m}")
         if not self.sigma > 0.0:
@@ -41,6 +48,7 @@ class InterfererParams:
     rho: float = 1.0
 
     def __post_init__(self):
+        _require_finite(rho=self.rho)
         if not self.rho > 0.0:
             raise ValueError(f"rho must be > 0, got {self.rho}")
 
@@ -61,8 +69,7 @@ class LinkBudget:
     n: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.p1_dbm) and math.isfinite(self.p2_dbm)):
-            raise ValueError("dBm powers must be finite")
+        _require_finite(p1_dbm=self.p1_dbm, p2_dbm=self.p2_dbm, s=self.s, t=self.t, n=self.n)
         if not self.s > 0.0:
             raise ValueError(f"source-receiver distance s must be > 0, got {self.s}")
         if not self.t > 0.0:
@@ -101,6 +108,7 @@ class SirDistribution:
     beta: float
 
     def __post_init__(self):
+        _require_finite(shape=self.shape, beta=self.beta)
         if not self.shape >= 0.5:
             raise ValueError(f"shape must be >= 0.5, got {self.shape}")
         if not self.beta > 0.0:

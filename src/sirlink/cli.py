@@ -33,12 +33,13 @@ from .channel import (
     sir_pdf,
 )
 from .montecarlo import estimate_with_draws, ks_statistic
-from .numerics import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, QuadratureError
+from .numerics import QuadratureError
 
 SCENARIO_KEYS = ("m", "M", "sigma", "rho", "p1_dbm", "p2_dbm", "s", "t", "n")
 AXIS_NAMES = ("s", "t", "M", "m", "n", "p1_dbm", "p2_dbm", "sigma", "rho")
-SWEEP_KEYS = ("axis", "values", "second_axis", "second_values", "rel_tol", "abs_tol")
+SWEEP_KEYS = ("axis", "values", "second_axis", "second_values")
 VALIDATE_KEYS = ("samples", "seed")
+SECTION_KEYS = {"scenario": SCENARIO_KEYS, "sweep": SWEEP_KEYS, "validate": VALIDATE_KEYS}
 
 DEFAULT_SAMPLES = 10 ** 6
 DEFAULT_SEED = 123456789
@@ -47,9 +48,6 @@ DEFAULT_SEED = 123456789
 # smaller runs so that a correct implementation still passes (the KS statistic
 # of true draws concentrates around 1/sqrt(samples)).
 KS_BASE_THRESHOLD = 0.005
-
-HEADER = "m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err"
-HEADER_VALIDATE = HEADER + ",mc_mean,mc_std_error,ks_stat,pass"
 
 
 class ConfigError(ValueError):
@@ -76,8 +74,6 @@ class SweepSpec:
     second_values: Optional[tuple] = None
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
 
 
 @dataclass(frozen=True)
@@ -101,6 +97,14 @@ class SweepRow:
     mc_std_error: Optional[float] = None
     ks_stat: Optional[float] = None
     passed: Optional[bool] = None
+
+
+# CSV columns follow SweepRow's field order; validate adds the Monte Carlo
+# fields from mc_mean on, and `passed` is printed as `pass`.
+_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow))
+_SWEEP_COLUMNS = _COLUMNS[:_COLUMNS.index("mc_mean")]
+HEADER = ",".join(_SWEEP_COLUMNS)
+HEADER_VALIDATE = ",".join(_COLUMNS[:-1] + ("pass",))
 
 
 def _scenario_params(scenario: Scenario) -> dict:
@@ -148,7 +152,7 @@ def _parse_values(axis: str, raw: str) -> tuple:
     for item in items:
         value = _parse_float("sweep", "values", item)
         if axis == "M":
-            if value != int(value) or value < 1:
+            if not (value.is_integer() and value >= 1):
                 raise ConfigError(f"[sweep] M values must be integers >= 1, got {item}")
             value = int(value)
         out.append(value)
@@ -164,14 +168,13 @@ def _read_sections(text: str) -> dict:
         raise ConfigError(f"config parse error: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config error: {exc}") from exc
-    allowed = {"scenario": SCENARIO_KEYS, "sweep": SWEEP_KEYS, "validate": VALIDATE_KEYS}
     sections = {}
     for name in parser.sections():
-        if name not in allowed:
-            raise ConfigError(f"unknown section [{name}]; expected one of {sorted(allowed)}")
+        if name not in SECTION_KEYS:
+            raise ConfigError(f"unknown section [{name}]; expected one of {sorted(SECTION_KEYS)}")
         body = dict(parser.items(name))
         for key in body:
-            if key not in allowed[name]:
+            if key not in SECTION_KEYS[name]:
                 raise ConfigError(f"unknown key {key!r} in [{name}]")
         sections[name] = body
     return sections
@@ -221,14 +224,12 @@ def _build_spec(sections: dict) -> SweepSpec:
         else DEFAULT_SAMPLES
     seed = _parse_int("validate", "seed", val_raw["seed"]) if "seed" in val_raw \
         else DEFAULT_SEED
-    rel_tol = _parse_float("sweep", "rel_tol", sweep_raw["rel_tol"]) if "rel_tol" in sweep_raw \
-        else DEFAULT_REL_TOL
-    abs_tol = _parse_float("sweep", "abs_tol", sweep_raw["abs_tol"]) if "abs_tol" in sweep_raw \
-        else DEFAULT_ABS_TOL
+    if seed < 0:
+        raise ConfigError(f"[validate] seed must be >= 0, got {seed}")
 
     return SweepSpec(base=_build_scenario(params), axis=axis, values=values,
                      second_axis=second_axis, second_values=second_values,
-                     samples=samples, seed=seed, rel_tol=rel_tol, abs_tol=abs_tol)
+                     samples=samples, seed=seed)
 
 
 def parse_config(text: str) -> SweepSpec:
@@ -242,28 +243,6 @@ def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
     return f"{value:.12g}"
-
-
-def emit_config(spec: SweepSpec) -> str:
-    """Serialize a SweepSpec back into config text; parse(emit(spec)) == spec."""
-    lines = ["[scenario]"]
-    for key, value in _scenario_params(spec.base).items():
-        lines.append(f"{key} = {_fmt(value)}")
-    lines.append("")
-    lines.append("[sweep]")
-    if spec.axis is not None:
-        lines.append(f"axis = {spec.axis}")
-        lines.append(f"values = {', '.join(_fmt(v) for v in spec.values)}")
-    if spec.second_axis is not None:
-        lines.append(f"second_axis = {spec.second_axis}")
-        lines.append(f"second_values = {', '.join(_fmt(v) for v in spec.second_values)}")
-    lines.append(f"rel_tol = {_fmt(spec.rel_tol)}")
-    lines.append(f"abs_tol = {_fmt(spec.abs_tol)}")
-    lines.append("")
-    lines.append("[validate]")
-    lines.append(f"samples = {spec.samples}")
-    lines.append(f"seed = {spec.seed}")
-    return "\n".join(lines) + "\n"
 
 
 def _grid_points(spec: SweepSpec):
@@ -287,7 +266,7 @@ def _analytic_row(point: dict, spec: SweepSpec, corrupt_beta: float = 1.0) -> Sw
     try:
         dist = sir_distribution(_build_scenario(point))
         dist = SirDistribution(shape=dist.shape, beta=dist.beta * corrupt_beta)
-        result = ber(dist, rel_tol=spec.rel_tol, abs_tol=spec.abs_tol)
+        result = ber(dist)
     except (CrossCheckError, QuadratureError, ValueError, ArithmeticError) as exc:
         raise SweepPointError(point, exc) from exc
     return SweepRow(**point, shape=dist.shape, beta=dist.beta,
@@ -340,14 +319,9 @@ def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
 
 def rows_to_csv(rows: list, validation: bool = False) -> str:
     """Render sweep rows as CSV text with the fixed documented header."""
-    header = HEADER_VALIDATE if validation else HEADER
-    lines = [header]
-    for row in rows:
-        fields = [row.m, row.M, row.sigma, row.rho, row.p1_dbm, row.p2_dbm,
-                  row.s, row.t, row.n, row.shape, row.beta, row.ber, row.quad_err]
-        if validation:
-            fields += [row.mc_mean, row.mc_std_error, row.ks_stat, row.passed]
-        lines.append(",".join(_fmt(f) for f in fields))
+    columns = _COLUMNS if validation else _SWEEP_COLUMNS
+    lines = [HEADER_VALIDATE if validation else HEADER]
+    lines += [",".join(_fmt(getattr(row, name)) for name in columns) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -356,42 +330,32 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH", help="configuration file")
-    sub.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
-    for key in SCENARIO_KEYS:
-        sub.add_argument(f"--{key}", type=str, default=None,
-                         help=f"override scenario key {key}")
+def _add_key_flags(sub: argparse.ArgumentParser, section: str) -> None:
+    # Each flag overrides the config key of the same name (dashes for
+    # underscores in [sweep] names); its text is parsed with the config.
+    for key in SECTION_KEYS[section]:
+        flag = key.replace("_", "-") if section == "sweep" else key
+        sub.add_argument(f"--{flag}", dest=key, help=f"override [{section}] {key}",
+                         choices=AXIS_NAMES if key.endswith("axis") else None)
 
 
 def _make_parser() -> _Parser:
     parser = _Parser(prog="sirlink",
                      description="Interference-limited fading-link BER toolkit")
     commands = parser.add_subparsers(dest="command", required=True)
-
     point = commands.add_parser("point", help="evaluate the base scenario once")
-    _add_common_flags(point)
-
     sweep = commands.add_parser("sweep", help="evaluate a parameter sweep grid")
-    _add_common_flags(sweep)
-    sweep.add_argument("--axis", choices=AXIS_NAMES)
-    sweep.add_argument("--values", type=str, help="comma-separated axis values")
-    sweep.add_argument("--second-axis", dest="second_axis", choices=AXIS_NAMES)
-    sweep.add_argument("--second-values", dest="second_values", type=str)
-
     val = commands.add_parser("validate", help="cross-check analytics against Monte Carlo")
-    _add_common_flags(val)
-    val.add_argument("--axis", choices=AXIS_NAMES)
-    val.add_argument("--values", type=str)
-    val.add_argument("--second-axis", dest="second_axis", choices=AXIS_NAMES)
-    val.add_argument("--second-values", dest="second_values", type=str)
-    val.add_argument("--samples", type=int, default=None)
-    val.add_argument("--seed", type=int, default=None)
+    dist = commands.add_parser("dist", help="dump the SIR pdf/cdf on a y grid")
+    for sub in (point, sweep, val, dist):
+        sub.add_argument("--config", metavar="PATH", help="configuration file")
+        sub.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
+        _add_key_flags(sub, "scenario")
+    for sub in (sweep, val):
+        _add_key_flags(sub, "sweep")
+    _add_key_flags(val, "validate")
     val.add_argument("--corrupt-beta", dest="corrupt_beta", type=float, default=1.0,
                      help="test hook: scale analytic beta to force mismatch")
-
-    dist = commands.add_parser("dist", help="dump the SIR pdf/cdf on a y grid")
-    _add_common_flags(dist)
     dist.add_argument("--ymin", type=float, default=0.01)
     dist.add_argument("--ymax", type=float, default=20.0)
     dist.add_argument("--points", type=int, default=200)
@@ -407,27 +371,10 @@ def _spec_from_args(args) -> SweepSpec:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     else:
         sections = {}
-    scen = dict(sections.get("scenario", {}))
-    for key in SCENARIO_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            scen[key] = value
-    sections["scenario"] = scen
-    sweep = dict(sections.get("sweep", {}))
-    for key, attr in (("axis", "axis"), ("values", "values"),
-                      ("second_axis", "second_axis"), ("second_values", "second_values")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            sweep[key] = value
-    if sweep:
-        sections["sweep"] = sweep
-    val = dict(sections.get("validate", {}))
-    for key in ("samples", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            val[key] = str(value)
-    if val:
-        sections["validate"] = val
+    for section, keys in SECTION_KEYS.items():
+        flags = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+        if flags:
+            sections[section] = {**sections.get(section, {}), **flags}
     return _build_spec(sections)
 
 
@@ -467,8 +414,8 @@ def main(argv=None) -> int:
                 return 3
             return 0
         else:  # dist
-            if not (args.points >= 2 and 0.0 < args.ymin < args.ymax):
-                raise ConfigError("dist needs 0 < ymin < ymax and points >= 2")
+            if not (args.points >= 2 and 0.0 < args.ymin < args.ymax < math.inf):
+                raise ConfigError("dist needs 0 < ymin < ymax < inf and points >= 2")
             dist = sir_distribution(spec.base)
             grid = np.geomspace(args.ymin, args.ymax, args.points)
             columns = zip(grid.tolist(), sir_pdf(dist, grid).tolist(),

@@ -17,8 +17,9 @@ from scipy import integrate, special
 
 SQRT_PI = math.sqrt(math.pi)
 
-# Default tolerances for all analytical evaluations; tight enough that Monte
-# Carlo statistical error dominates every cross-validation.
+# Tolerances of every analytical evaluation; nothing outside this module sets
+# them.  Tight enough that Monte Carlo statistical error dominates every
+# cross-validation.
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
 

@@ -53,10 +53,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             FadingParams(m=1.0, sigma=0.0)
         FadingParams(m=0.5)  # boundary is legal
+        for kwargs in ({"m": math.inf}, {"m": 1.0, "sigma": math.inf}, {"m": math.nan}):
+            with pytest.raises(ValueError, match="must be finite"):
+                FadingParams(**kwargs)
 
     def test_interferer_invariants(self):
         with pytest.raises(ValueError):
             InterfererParams(rho=-1.0)
+        with pytest.raises(ValueError, match="rho must be finite"):
+            InterfererParams(rho=math.inf)
 
     def test_link_invariants(self):
         with pytest.raises(ValueError):
@@ -67,6 +72,10 @@ class TestTypes:
             LinkBudget(p1_dbm=10, p2_dbm=10, s=1.0, t=1.0, n=0.0)
         with pytest.raises(ValueError):
             LinkBudget(p1_dbm=math.inf, p2_dbm=10, s=1.0, t=1.0, n=2.0)
+        for key in ("s", "t", "n"):
+            kwargs = {"p1_dbm": 10, "p2_dbm": 10, "s": 1.0, "t": 1.0, "n": 2.0, key: math.inf}
+            with pytest.raises(ValueError, match=f"^{key} must be finite"):
+                LinkBudget(**kwargs)
 
     def test_scenario_invariants(self):
         link = LinkBudget(p1_dbm=10, p2_dbm=10, s=1.0, t=1.0, n=2.0)
@@ -80,6 +89,10 @@ class TestTypes:
             SirDistribution(shape=0.4, beta=1.0)
         with pytest.raises(ValueError):
             SirDistribution(shape=1.0, beta=0.0)
+        with pytest.raises(ValueError, match="shape must be finite"):
+            SirDistribution(shape=math.inf, beta=1.0)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            SirDistribution(shape=1.0, beta=math.inf)
 
     def test_no_mean_accessor(self):
         # the mean diverges for shape <= 1; exposing one would be a trap

@@ -26,7 +26,6 @@ from sirlink.cli import (
     _build_scenario,
     _derived_seed,
     _grid_points,
-    emit_config,
     ks_threshold,
     main,
     parse_config,
@@ -104,6 +103,38 @@ m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err,mc_mean,mc_std_error,k
 """
 
 
+# `sweep --config configs/<name>` output, frozen: any rendering of the CSV must
+# keep these bytes.
+SWEEP_FROZEN = {
+    "fig2_sweep.ini": """\
+m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err
+3,2,1,1,17,10,60,60,3.5,6,0.598578694491,0.0021314717046,1.71383493552e-13
+3,2,1,1,17,10,70,60,3.5,6,1.02667980259,0.00684057612661,5.7735820096e-13
+3,2,1,1,17,10,80,60,3.5,6,1.63835055595,0.0156154626257,1.59184314162e-14
+3,2,1,1,17,10,90,60,3.5,6,2.47423337843,0.0285924510641,7.25413949986e-15
+3,2,1,1,17,10,100,60,3.5,6,3.577600795,0.04512936123,3.19769091067e-12
+3,2,1,1,17,10,60,90,3.5,6,0.144811098509,2.70551584463e-05,8.5240738812e-14
+3,2,1,1,17,10,70,90,3.5,6,0.248379421785,0.000180340391282,8.96587807281e-13
+3,2,1,1,17,10,80,90,3.5,6,0.396357815494,0.00073516474146,3.83156857556e-13
+3,2,1,1,17,10,90,90,3.5,6,0.598578694491,0.0021314717046,1.71383493552e-13
+3,2,1,1,17,10,100,90,3.5,6,0.865510760604,0.00485492250618,4.39151873695e-13
+3,2,1,1,17,10,60,120,3.5,6,0.0529073817435,3.64216160875e-07,3.0027941038e-14
+3,2,1,1,17,10,70,120,3.5,6,0.090746531315,4.12542468573e-06,5.03506542589e-14
+3,2,1,1,17,10,80,120,3.5,6,0.144811098509,2.70551584463e-05,8.5240738812e-14
+3,2,1,1,17,10,90,120,3.5,6,0.218693400016,0.000118402987064,7.74310298074e-13
+3,2,1,1,17,10,100,120,3.5,6,0.316218222815,0.000382991767069,2.89077833188e-13
+""",
+    "fig4_sweep.ini": """\
+m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err
+4,3,1,1,15,0,100,80,2.9,12,0.241601167743,2.77238238931e-06,6.93844269323e-13
+4,3,1,1,15,3,100,80,2.9,12,0.48205770525,6.67821915155e-05,6.35981834564e-15
+4,3,1,1,15,6,100,80,2.9,12,0.961831572926,0.000749890630772,2.46922872261e-13
+4,3,1,1,15,9,100,80,2.9,12,1.91910629081,0.0045444986311,5.99257038005e-14
+4,3,1,1,15,12,100,80,2.9,12,3.82912046046,0.0170591947116,2.16299847274e-14
+""",
+}
+
+
 def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "sirlink", *args],
                           capture_output=True, text=True, cwd=cwd)
@@ -115,7 +146,6 @@ class TestParseConfig:
         assert spec.axis is None and spec.values is None
         assert spec.base.fading.sigma == 1.0 and spec.base.interferer.rho == 1.0
         assert spec.samples == 10 ** 6
-        assert spec.rel_tol == 1e-10
 
     def test_two_axis_spec(self):
         spec = parse_config(TWO_AXIS)
@@ -129,9 +159,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="m must be >= 0.5"):
             parse_config(MINIMAL.replace("m = 2", "m = 0.3"))
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config(MINIMAL + "\nbogus = 1\n")
+    def test_unknown_key_rejected(self, tmp_path):
+        # the quadrature tolerance is fixed in numerics, not a config key
+        for extra in ("\nbogus = 1\n", "\n[sweep]\nrel_tol = 1e-8\n"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(MINIMAL + extra)
+        cfg = tmp_path / "tol.ini"
+        cfg.write_text(MINIMAL + "\n[sweep]\nrel_tol = 1e-8\n")
+        assert main(["point", "--config", str(cfg)]) == 1
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -146,8 +181,9 @@ class TestParseConfig:
             parse_config(MINIMAL + "\n[sweep]\naxis = s\n")
 
     def test_non_integer_branch_values(self):
-        with pytest.raises(ConfigError, match="integers"):
-            parse_config(MINIMAL + "\n[sweep]\naxis = M\nvalues = 1, 2.5\n")
+        for values in ("1, 2.5", "inf", "nan"):
+            with pytest.raises(ConfigError, match="M values must be integers >= 1"):
+                parse_config(MINIMAL + f"\n[sweep]\naxis = M\nvalues = {values}\n")
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="missing required"):
@@ -156,11 +192,6 @@ class TestParseConfig:
     def test_malformed_document(self):
         with pytest.raises(ConfigError, match="parse error"):
             parse_config("[scenario\nm = 2\n")
-
-    def test_roundtrip_through_emit(self):
-        for text in (MINIMAL, TWO_AXIS, DIVERSITY_GRID):
-            spec = parse_config(text)
-            assert parse_config(emit_config(spec)) == spec
 
 
 class TestRunSweep:
@@ -342,12 +373,27 @@ class TestCliProcess:
         assert proc.returncode == 0
         assert proc.stdout == FIG3_VALIDATE_200003
 
-    def test_parse_error_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("name", sorted(SWEEP_FROZEN))
+    def test_sweep_frozen_bytes(self, name):
+        proc = run_cli("sweep", "--config", os.path.join(CONFIG_DIR, name))
+        assert proc.returncode == 0
+        assert proc.stdout == SWEEP_FROZEN[name]
+
+    @pytest.mark.parametrize("command, config, flags, message", [
+        ("point", MINIMAL.replace("m = 2", "m = 0.1"), "", "m must be >= 0.5"),
+        ("point", MINIMAL, "--m inf", "scenario: m must be finite"),
+        ("point", MINIMAL, "--sigma inf", "scenario: sigma must be finite"),
+        ("point", MINIMAL, "--n inf", "scenario: n must be finite"),
+        ("validate", MINIMAL, "--seed -1", "[validate] seed must be >= 0"),
+        ("dist", MINIMAL, "--ymax inf --points 3", "dist needs 0 < ymin < ymax < inf"),
+    ], ids=["m-0.1", "m-inf", "sigma-inf", "n-inf", "seed-negative", "dist-ymax-inf"])
+    def test_parse_error_exit_code(self, tmp_path, command, config, flags, message):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(MINIMAL.replace("m = 2", "m = 0.1"))
-        proc = run_cli("point", "--config", str(cfg))
+        cfg.write_text(config)
+        proc = run_cli(command, "--config", str(cfg), *flags.split())
         assert proc.returncode == 1
-        assert "m must be >= 0.5" in proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
     @pytest.mark.parametrize("command, flags, message", [
         # shape 0.5: GL route cannot match the direct route at 1e-7
