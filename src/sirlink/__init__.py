@@ -3,7 +3,8 @@
 Computes the bit-error-rate of a BPSK link with Nakagami-m branch fading,
 M-branch maximal-ratio combining and a single Rayleigh co-channel interferer,
 both analytically and by Monte Carlo simulation, each route validating the
-other.
+other.  Modules: `channel` (scenario types, SIR law), `ber` (both analytic
+routes and the quadrature under them), `montecarlo` (oracle), `cli`.
 """
 
 from .ber import (
@@ -11,10 +12,16 @@ from .ber import (
     DEFAULT_GL_ORDER,
     BerResult,
     CrossCheckError,
+    GaussLaguerreRule,
+    QuadratureError,
+    QuadratureResult,
     ber,
     ber_direct,
     ber_gl,
     conditional_ber,
+    gauss_laguerre_half,
+    integrate_semi_infinite,
+    upper_incomplete_gamma,
 )
 from .channel import (
     FadingParams,
@@ -24,8 +31,6 @@ from .channel import (
     SingularityError,
     SirDistribution,
     interference_scale,
-    nakagami_pdf,
-    rayleigh_pdf,
     sir_cdf,
     sir_distribution,
     sir_pdf,
@@ -38,16 +43,6 @@ from .montecarlo import (
     ks_statistic,
     sample_sir,
 )
-from .numerics import (
-    GaussLaguerreRule,
-    QuadratureError,
-    QuadratureResult,
-    erfc,
-    gauss_laguerre_half,
-    integrate_semi_infinite,
-    ln_gamma,
-    upper_incomplete_gamma,
-)
 
 __version__ = "0.1.0"
 
@@ -56,9 +51,8 @@ __all__ = [
     "FadingParams", "GaussLaguerreRule", "InterfererParams", "LinkBudget",
     "McEstimate", "QuadratureError", "QuadratureResult", "RngStream",
     "Scenario", "SingularityError", "SirDistribution",
-    "ber", "ber_direct", "ber_gl", "conditional_ber", "erfc", "estimate_ber",
+    "ber", "ber_direct", "ber_gl", "conditional_ber", "estimate_ber",
     "gamma_variate", "gauss_laguerre_half", "integrate_semi_infinite",
-    "interference_scale", "ks_statistic", "ln_gamma", "nakagami_pdf",
-    "rayleigh_pdf", "sample_sir", "sir_cdf", "sir_distribution", "sir_pdf",
-    "upper_incomplete_gamma",
+    "interference_scale", "ks_statistic", "sample_sir", "sir_cdf",
+    "sir_distribution", "sir_pdf", "upper_incomplete_gamma",
 ]

@@ -6,26 +6,34 @@ first, which turns the integral into the SIR distribution function weighted
 by y^(-1/2) e^(-y) - exactly the generalized Gauss-Laguerre weight - so a
 fixed rule evaluates it.  Both run on every top-level evaluation and must
 agree, otherwise the evaluation fails loudly.
+
+The quadrature, its tolerance, the rule (scipy roots_genlaguerre) and the
+paper's Gamma(1/2, .) (scipy gammaincc) live here too.  All functions are
+pure; the rule cache is the only shared state, so all are thread-safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
+from scipy import integrate, special
 
 from .channel import Scenario, SirDistribution, sir_cdf, sir_distribution, sir_pdf
-from .numerics import (
-    MAX_GL_ORDER,
-    SQRT_PI,
-    QuadratureResult,
-    gauss_laguerre_half,
-    integrate_semi_infinite,
-)
+
+SQRT_PI = math.sqrt(math.pi)
+
+# Tolerances of every analytical evaluation; nothing outside this module sets
+# them.  Tight enough that Monte Carlo statistical error dominates every
+# cross-validation.
+DEFAULT_REL_TOL = 1e-10
+DEFAULT_ABS_TOL = 1e-12
 
 # Absolute dual-route agreement required by ber(); disagreement beyond this
-# signals a numerics bug for shape >= 1 and moderate beta.  The Gauss-Laguerre
+# signals a route defect for shape >= 1 and moderate beta.  The Gauss-Laguerre
 # route cannot resolve the y**(shape-1) endpoint kink when shape < 1, nor
 # structure below its smallest node when beta is extreme (~1e9); use
 # ber_direct or a relaxed threshold there.
@@ -33,10 +41,21 @@ CROSS_CHECK_THRESHOLD = 1e-7
 
 # Order 64 leaves a ~3e-8 route gap in the strongest-interference corner of
 # the study grids (shape 12, beta ~ 3.8); 128 restores < 1e-9 everywhere the
-# cross-check is meant to hold.
+# cross-check is meant to hold.  It is also the largest order either range
+# check accepts.
 DEFAULT_GL_ORDER = 128
 
 _MIN_GL_ORDER = 8
+
+
+class QuadratureError(RuntimeError):
+    """Quadrature failed to converge. Carries the best available estimate."""
+
+    def __init__(self, message: str, best_estimate: float = math.nan,
+                 error_estimate: float = math.inf):
+        super().__init__(message)
+        self.best_estimate = best_estimate
+        self.error_estimate = error_estimate
 
 
 class CrossCheckError(RuntimeError):
@@ -49,6 +68,21 @@ class CrossCheckError(RuntimeError):
         self.direct = direct
         self.gauss_laguerre = gauss_laguerre
         self.threshold = threshold
+
+
+@dataclass(frozen=True)
+class QuadratureResult:
+    """Value of a convergent quadrature together with its error bound."""
+
+    value: float
+    abs_error_estimate: float
+    evaluations: int
+
+    def __post_init__(self):
+        if not self.abs_error_estimate >= 0.0:
+            raise ValueError("abs_error_estimate must be >= 0")
+        if self.evaluations < 1:
+            raise ValueError("evaluations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -68,6 +102,39 @@ class BerResult:
             raise ValueError("route_disagreement must be >= 0")
 
 
+@dataclass(frozen=True)
+class GaussLaguerreRule:
+    """Nodes and weights for the generalized weight y^(-1/2) * exp(-y) on (0, inf)."""
+
+    order: int
+    nodes: tuple
+    weights: tuple
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError("order must be >= 1")
+        if len(self.nodes) != self.order or len(self.weights) != self.order:
+            raise ValueError("nodes/weights length must equal order")
+        prev = 0.0
+        for y, w in zip(self.nodes, self.weights):
+            if not y > prev:
+                raise ValueError("nodes must be positive and strictly increasing")
+            if not w > 0.0:
+                raise ValueError("weights must be positive")
+            prev = y
+        if abs(math.fsum(self.weights) - SQRT_PI) > 1e-12:
+            raise ValueError("weight sum must equal sqrt(pi) to 1e-12")
+
+
+def upper_incomplete_gamma(a: float, x: float) -> float:
+    """Non-regularized upper incomplete gamma Gamma(a) * gammaincc(a, x); non-increasing in x."""
+    if not a > 0.0:
+        raise ValueError(f"upper_incomplete_gamma requires a > 0, got {a}")
+    if not x >= 0.0:
+        raise ValueError(f"upper_incomplete_gamma requires x >= 0, got {x}")
+    return math.exp(math.lgamma(a)) * float(special.gammaincc(a, x))
+
+
 def conditional_ber(gamma: float) -> float:
     """BPSK error probability at a fixed SIR: Gamma(1/2, gamma)/(2*sqrt(pi)) = erfc(sqrt(gamma))/2."""
     if not gamma >= 0.0:
@@ -75,16 +142,65 @@ def conditional_ber(gamma: float) -> float:
     return 0.5 * math.erfc(math.sqrt(gamma))
 
 
+def integrate_semi_infinite(f: Callable[[float], float],
+                            rel_tol: float = DEFAULT_REL_TOL,
+                            abs_tol: float = DEFAULT_ABS_TOL) -> QuadratureResult:
+    """Adaptively integrate f over (0, inf).
+
+    Tolerates an integrable power singularity at the origin up to y^(-1/2):
+    the substitution y = u**2 removes it before the transformed integrand is
+    handed to adaptive Gauss-Kronrod quadrature.  The endpoint itself is
+    never evaluated.
+    """
+    if not (rel_tol > 0.0 and abs_tol > 0.0):
+        raise ValueError("tolerances must be positive")
+
+    def transformed(u: float) -> float:
+        return 2.0 * u * f(u * u)
+
+    out = integrate.quad(transformed, 0.0, math.inf,
+                         epsabs=abs_tol, epsrel=rel_tol,
+                         limit=250, full_output=1)
+    value, abs_err, info = out[0], out[1], out[2]
+    if math.isnan(value):
+        raise QuadratureError("integrand produced NaN", best_estimate=value,
+                              error_estimate=abs_err)
+    if len(out) > 3:
+        raise QuadratureError(f"quadrature did not converge: {out[3]}",
+                              best_estimate=value, error_estimate=abs_err)
+    return QuadratureResult(value=value, abs_error_estimate=abs_err,
+                            evaluations=int(info["neval"]))
+
+
+@lru_cache(maxsize=None)
+def gauss_laguerre_half(order: int) -> GaussLaguerreRule:
+    """Generalized Gauss-Laguerre rule for the weight y^(-1/2) * exp(-y).
+
+    Built by scipy.special.roots_genlaguerre (the Golub-Welsch eigenvalue
+    method).  Exact for polynomials up to degree 2*order - 1 under the weight.
+    """
+    if not 1 <= order <= DEFAULT_GL_ORDER:
+        raise ValueError(f"order must be in [1, {DEFAULT_GL_ORDER}], got {order}")
+    nodes, weights = special.roots_genlaguerre(order, -0.5)
+    return GaussLaguerreRule(order=order, nodes=tuple(nodes.tolist()),
+                             weights=tuple(weights.tolist()))
+
+
 def ber_direct(dist: SirDistribution) -> QuadratureResult:
     """Average BER by adaptive quadrature of conditional_ber against the SIR density.
 
-    The tolerances are integrate_semi_infinite's defaults, set in numerics.
+    The tolerances are integrate_semi_infinite's defaults.  A QuadratureError
+    names this route and the law's shape and beta.
     """
 
     def integrand(y: float) -> float:
         return conditional_ber(y) * sir_pdf(dist, y)
 
-    return integrate_semi_infinite(integrand)
+    try:
+        return integrate_semi_infinite(integrand)
+    except QuadratureError as exc:
+        raise QuadratureError(f"direct route at shape={dist.shape!r}, beta={dist.beta!r}: {exc}",
+                              exc.best_estimate, exc.error_estimate) from exc
 
 
 def ber_gl(dist: SirDistribution, order: int = DEFAULT_GL_ORDER) -> float:
@@ -94,8 +210,8 @@ def ber_gl(dist: SirDistribution, order: int = DEFAULT_GL_ORDER) -> float:
     vanishes at 0, so the boundary terms drop and the average BER equals
     sum(w_i * cdf(y_i)) / (2*sqrt(pi)) over the y^(-1/2)e^(-y) rule.
     """
-    if not _MIN_GL_ORDER <= order <= MAX_GL_ORDER:
-        raise ValueError(f"order must be in [{_MIN_GL_ORDER}, {MAX_GL_ORDER}], got {order}")
+    if not _MIN_GL_ORDER <= order <= DEFAULT_GL_ORDER:
+        raise ValueError(f"order must be in [{_MIN_GL_ORDER}, {DEFAULT_GL_ORDER}], got {order}")
     rule = gauss_laguerre_half(order)
     return float(np.dot(rule.weights, sir_cdf(dist, rule.nodes))) / (2.0 * SQRT_PI)
 

@@ -3,7 +3,8 @@
 The desired signal fades per branch with a Nakagami-m amplitude (squared
 amplitude gamma-distributed), the single co-channel interferer is Rayleigh,
 and the M maximal-ratio-combined branches yield an SIR whose density has the
-two-parameter closed form carried by :class:`SirDistribution`.
+two-parameter closed form carried by :class:`SirDistribution`: the only
+density the package evaluates (montecarlo samples the fading laws instead).
 
 All types are immutable after construction and all operations are pure.
 """
@@ -113,31 +114,6 @@ class SirDistribution:
             raise ValueError(f"shape must be >= 0.5, got {self.shape}")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
-
-
-def nakagami_pdf(x, params: FadingParams):
-    """Nakagami amplitude density (2/Gamma(m)) (m/O)^m x^(2m-1) e^(-m x^2 / O).
-
-    Reduces to the Rayleigh density for m = 1.  Accepts scalars or arrays.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("amplitude must be >= 0")
-    m, omega = params.m, params.sigma
-    norm = 2.0 / math.gamma(m) * (m / omega) ** m
-    out = norm * x ** (2.0 * m - 1.0) * np.exp(-m * x * x / omega)
-    return float(out) if out.ndim == 0 else out
-
-
-def rayleigh_pdf(x, omega: float):
-    """Rayleigh amplitude density (2/O) x e^(-x^2 / O)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("amplitude must be >= 0")
-    if not omega > 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    out = (2.0 / omega) * x * np.exp(-x * x / omega)
-    return float(out) if out.ndim == 0 else out
 
 
 def interference_scale(link: LinkBudget, rho: float) -> float:

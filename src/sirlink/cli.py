@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ber import CrossCheckError, ber
+from .ber import CrossCheckError, QuadratureError, ber
 from .channel import (
     FadingParams,
     InterfererParams,
@@ -33,7 +33,6 @@ from .channel import (
     sir_pdf,
 )
 from .montecarlo import estimate_with_draws, ks_statistic
-from .numerics import QuadratureError
 
 SCENARIO_KEYS = ("m", "M", "sigma", "rho", "p1_dbm", "p2_dbm", "s", "t", "n")
 AXIS_NAMES = ("s", "t", "M", "m", "n", "p1_dbm", "p2_dbm", "sigma", "rho")
@@ -404,6 +403,8 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             text = rows_to_csv(run_sweep(spec))
         elif args.command == "validate":
+            if not (math.isfinite(args.corrupt_beta) and args.corrupt_beta > 0.0):
+                raise ConfigError(f"--corrupt-beta must be finite and > 0, got {args.corrupt_beta}")
             rows = validate(spec, corrupt_beta=args.corrupt_beta)
             text = rows_to_csv(rows, validation=True)
             _write_output(text, args.out)

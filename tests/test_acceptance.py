@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from math import erfc
 
 import numpy as np
 from scipy import integrate
@@ -31,7 +32,6 @@ from sirlink import (
     ber,
     ber_direct,
     ber_gl,
-    erfc,
     estimate_ber,
     interference_scale,
     ks_statistic,
@@ -41,7 +41,7 @@ from sirlink import (
     sir_pdf,
     upper_incomplete_gamma,
 )
-from sirlink.numerics import SQRT_PI
+from sirlink.ber import SQRT_PI
 from test_channel import sir_pdf_physical_oracle
 
 

@@ -1,5 +1,6 @@
 """BER-engine tests: dual-route agreement, limits, monotonicity, invariance."""
 
+import importlib
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import BER_GRID, FIG2, FIG3, FIG4, scen
 from sirlink import (
     BerResult,
     CrossCheckError,
+    QuadratureError,
     SirDistribution,
     ber,
     ber_direct,
@@ -17,7 +19,7 @@ from sirlink import (
     sir_cdf,
     sir_distribution,
 )
-from sirlink.numerics import SQRT_PI
+from sirlink.ber import SQRT_PI
 
 
 class TestConditionalBer:
@@ -59,6 +61,19 @@ class TestBerDirect:
         dist = SirDistribution(shape=1.0, beta=1.0)
         direct = ber_direct(dist)
         assert direct.value == pytest.approx(ber_gl(dist), abs=1e-8)
+
+    def test_quadrature_failure_names_route(self, monkeypatch):
+        def fail(integrand):
+            raise QuadratureError("quadrature did not converge", best_estimate=0.125,
+                                  error_estimate=0.5)
+
+        # the package's `ber` attribute is the function, so fetch the module
+        monkeypatch.setattr(importlib.import_module("sirlink.ber"), "integrate_semi_infinite", fail)
+        with pytest.raises(QuadratureError) as info:
+            ber_direct(SirDistribution(shape=2.0, beta=0.25))
+        assert str(info.value) == \
+            "direct route at shape=2.0, beta=0.25: quadrature did not converge"
+        assert (info.value.best_estimate, info.value.error_estimate) == (0.125, 0.5)
 
 
 class TestBerGl:

@@ -15,8 +15,6 @@ from sirlink import (
     SingularityError,
     SirDistribution,
     interference_scale,
-    nakagami_pdf,
-    rayleigh_pdf,
     sir_cdf,
     sir_distribution,
     sir_pdf,
@@ -97,48 +95,6 @@ class TestTypes:
     def test_no_mean_accessor(self):
         # the mean diverges for shape <= 1; exposing one would be a trap
         assert not hasattr(SirDistribution(shape=1.0, beta=1.0), "mean")
-
-
-class TestNakagamiPdf:
-    def test_reduces_to_rayleigh_at_unit_m(self):
-        assert nakagami_pdf(1.0, FadingParams(m=1.0, sigma=1.0)) == \
-            pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
-
-    def test_zero_at_origin_for_m_above_half(self):
-        assert nakagami_pdf(0.0, FadingParams(m=2.0, sigma=1.0)) == 0.0
-
-    def test_mean_square_is_omega(self):
-        params = FadingParams(m=3.0, sigma=2.5)
-        value, _ = integrate.quad(lambda x: x * x * nakagami_pdf(x, params),
-                                  0.0, np.inf, epsabs=1e-12, epsrel=1e-12)
-        assert value == pytest.approx(2.5, abs=1e-8)
-
-    def test_negative_amplitude_rejected(self):
-        with pytest.raises(ValueError):
-            nakagami_pdf(-0.1, FadingParams(m=1.0))
-
-
-class TestRayleighPdf:
-    def test_direct_value(self):
-        assert rayleigh_pdf(1.0, 1.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
-
-    def test_identical_to_unit_m_nakagami(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            x = float(rng.uniform(0.0, 4.0))
-            omega = float(rng.uniform(0.2, 5.0))
-            assert rayleigh_pdf(x, omega) == nakagami_pdf(x, FadingParams(m=1.0, sigma=omega))
-
-    def test_normalization(self):
-        value, _ = integrate.quad(lambda x: rayleigh_pdf(x, 3.0), 0.0, np.inf,
-                                  epsabs=1e-13, epsrel=1e-12)
-        assert value == pytest.approx(1.0, abs=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            rayleigh_pdf(1.0, 0.0)
-        with pytest.raises(ValueError):
-            rayleigh_pdf(-1.0, 1.0)
 
 
 class TestInterferenceScale:

@@ -160,7 +160,7 @@ class TestParseConfig:
             parse_config(MINIMAL.replace("m = 2", "m = 0.3"))
 
     def test_unknown_key_rejected(self, tmp_path):
-        # the quadrature tolerance is fixed in numerics, not a config key
+        # the quadrature tolerance is fixed in ber, not a config key
         for extra in ("\nbogus = 1\n", "\n[sweep]\nrel_tol = 1e-8\n"):
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config(MINIMAL + extra)
@@ -386,7 +386,10 @@ class TestCliProcess:
         ("point", MINIMAL, "--n inf", "scenario: n must be finite"),
         ("validate", MINIMAL, "--seed -1", "[validate] seed must be >= 0"),
         ("dist", MINIMAL, "--ymax inf --points 3", "dist needs 0 < ymin < ymax < inf"),
-    ], ids=["m-0.1", "m-inf", "sigma-inf", "n-inf", "seed-negative", "dist-ymax-inf"])
+        ("validate", MINIMAL, "--corrupt-beta 0", "config error: --corrupt-beta must be"),
+        ("validate", MINIMAL, "--corrupt-beta nan", "config error: --corrupt-beta must be"),
+    ], ids=["m-0.1", "m-inf", "sigma-inf", "n-inf", "seed-negative", "dist-ymax-inf",
+            "corrupt-beta-0", "corrupt-beta-nan"])
     def test_parse_error_exit_code(self, tmp_path, command, config, flags, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(config)
@@ -404,7 +407,10 @@ class TestCliProcess:
          "evaluation failed at grid point"),
         ("dist", "--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3 --points 3",
          "numerical error"),
-    ], ids=["shape-0.5", "shape-320", "dist-shape-320"])
+        # shape 100: the density overflows to NaN inside the direct route
+        ("point", "--m 4 --M 25 --p1_dbm 15 --p2_dbm 6 --s 90 --t 90 --n 3",
+         "direct route at shape=100.0, beta="),
+    ], ids=["shape-0.5", "shape-320", "dist-shape-320", "shape-100"])
     def test_numerical_failure_exit_code(self, command, flags, message):
         proc = run_cli(command, *flags.split())
         assert proc.returncode == 2

@@ -1,19 +1,18 @@
 """Special-function and quadrature unit tests with independent oracles."""
 
 import math
+from math import erfc
 
 import pytest
 
 from sirlink import (
     GaussLaguerreRule,
     QuadratureError,
-    erfc,
     gauss_laguerre_half,
     integrate_semi_infinite,
-    ln_gamma,
     upper_incomplete_gamma,
 )
-from sirlink.numerics import SQRT_PI
+from sirlink.ber import SQRT_PI
 
 
 def erfc_series_oracle(x):
@@ -28,49 +27,8 @@ def erfc_series_oracle(x):
     return 1.0 - 2.0 / SQRT_PI * total
 
 
-# Frozen from erfc_series_oracle(1.0); cross-checked below.
-ERFC_1 = 0.15729920705028513
-GAMMA_HALF_1 = 0.2788055852806620  # sqrt(pi) * ERFC_1
-
-
-class TestLnGamma:
-    def test_unit_argument(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_half_argument(self):
-        assert ln_gamma(0.5) == pytest.approx(math.log(SQRT_PI), rel=1e-14)
-
-    def test_factorial(self):
-        assert ln_gamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14)
-
-    def test_exp_matches_gamma(self):
-        for a in (0.5, 1.3, 4.0, 9.5):
-            assert math.exp(ln_gamma(a)) == pytest.approx(math.gamma(a), rel=1e-12)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            ln_gamma(bad)
-
-
-class TestErfc:
-    def test_zero(self):
-        assert erfc(0.0) == 1.0
-
-    def test_limit(self):
-        assert erfc(10.0) < 1e-40
-
-    def test_unit_value_against_series_oracle(self):
-        assert erfc_series_oracle(1.0) == pytest.approx(ERFC_1, abs=1e-16)
-        assert erfc(1.0) == pytest.approx(ERFC_1, rel=1e-14)
-
-    def test_reflection(self):
-        for x in (0.1, 0.5, 1.0, 2.0, 3.5):
-            assert erfc(-x) == pytest.approx(2.0 - erfc(x), rel=1e-14)
-
-    def test_range(self):
-        for x in (-5.0, -1.0, 0.0, 1.0, 5.0):
-            assert 0.0 < erfc(x) < 2.0
+# Frozen from SQRT_PI * erfc_series_oracle(1.0); cross-checked below.
+GAMMA_HALF_1 = 0.2788055852806620
 
 
 class TestUpperIncompleteGamma:

@@ -1,0 +1,40 @@
+"""The package's public names and the scripts that import from it."""
+
+import importlib.util
+import os
+import sys
+
+import sirlink
+import sirlink.cli
+
+PUBLIC_NAMES = [
+    "BerResult", "CROSS_CHECK_THRESHOLD", "CrossCheckError", "DEFAULT_GL_ORDER",
+    "FadingParams", "GaussLaguerreRule", "InterfererParams", "LinkBudget",
+    "McEstimate", "QuadratureError", "QuadratureResult", "RngStream",
+    "Scenario", "SingularityError", "SirDistribution",
+    "ber", "ber_direct", "ber_gl", "conditional_ber", "estimate_ber",
+    "gamma_variate", "gauss_laguerre_half", "integrate_semi_infinite",
+    "interference_scale", "ks_statistic", "sample_sir", "sir_cdf",
+    "sir_distribution", "sir_pdf", "upper_incomplete_gamma",
+]
+SCRIPTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def test_public_surface():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert sirlink.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(sirlink, name) is not None
+
+
+def test_generate_golden_imports(monkeypatch):
+    # load the script as a module without running main(); the script puts
+    # tests/ on sys.path, which the monkeypatch restores afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = os.path.join(SCRIPTS_DIR, "generate_golden.py")
+    spec = importlib.util.spec_from_file_location("generate_golden", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.estimate_ber is sirlink.estimate_ber
+    assert script._derived_seed is sirlink.cli._derived_seed
+    assert callable(script.main)
