@@ -14,7 +14,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
 
 from conftest import BER_GRID, GOLDEN_PATH, scen  # noqa: E402
 from sirlink import estimate_ber  # noqa: E402
-from sirlink.cli import _derived_seed  # noqa: E402
+from sirlink.montecarlo import derived_seed  # noqa: E402
 
 SAMPLES = 10 ** 7
 MASTER_SEED = 20230215
@@ -23,7 +23,7 @@ MASTER_SEED = 20230215
 def main() -> None:
     lines = ["label,m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,samples,seed,mc_mean,mc_std_error"]
     for index, (label, scenario) in enumerate(BER_GRID):
-        seed = _derived_seed(MASTER_SEED, index)
+        seed = derived_seed(MASTER_SEED, index)
         estimate = estimate_ber(scenario, SAMPLES, seed)
         fields = [
             label,

@@ -37,9 +37,7 @@ from .channel import (
 )
 from .montecarlo import (
     McEstimate,
-    RngStream,
     estimate_ber,
-    gamma_variate,
     ks_statistic,
     sample_sir,
 )
@@ -49,10 +47,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BerResult", "CROSS_CHECK_THRESHOLD", "CrossCheckError", "DEFAULT_GL_ORDER",
     "FadingParams", "GaussLaguerreRule", "InterfererParams", "LinkBudget",
-    "McEstimate", "QuadratureError", "QuadratureResult", "RngStream",
+    "McEstimate", "QuadratureError", "QuadratureResult",
     "Scenario", "SingularityError", "SirDistribution",
     "ber", "ber_direct", "ber_gl", "conditional_ber", "estimate_ber",
-    "gamma_variate", "gauss_laguerre_half", "integrate_semi_infinite",
+    "gauss_laguerre_half", "integrate_semi_infinite",
     "interference_scale", "ks_statistic", "sample_sir", "sir_cdf",
     "sir_distribution", "sir_pdf", "upper_incomplete_gamma",
 ]

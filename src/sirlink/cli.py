@@ -32,7 +32,7 @@ from .channel import (
     sir_distribution,
     sir_pdf,
 )
-from .montecarlo import estimate_with_draws, ks_statistic
+from .montecarlo import derived_seed, estimate_with_draws, ks_statistic
 
 SCENARIO_KEYS = ("m", "M", "sigma", "rho", "p1_dbm", "p2_dbm", "s", "t", "n")
 AXIS_NAMES = ("s", "t", "M", "m", "n", "p1_dbm", "p2_dbm", "sigma", "rho")
@@ -277,10 +277,6 @@ def run_sweep(spec: SweepSpec) -> list:
     return [_analytic_row(point, spec) for point in _grid_points(spec)]
 
 
-def _derived_seed(master: int, *key: int) -> int:
-    return int(np.random.SeedSequence(master, spawn_key=key).generate_state(1, np.uint64)[0])
-
-
 def ks_threshold(samples: int) -> float:
     return max(KS_BASE_THRESHOLD, 1.95 / math.sqrt(samples))
 
@@ -305,7 +301,7 @@ def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
         row = _analytic_row(point, spec, corrupt_beta)
         try:
             estimate, draws = estimate_with_draws(_build_scenario(point), spec.samples,
-                                                  _derived_seed(spec.seed, index, 0))
+                                                  derived_seed(spec.seed, index, 0))
             ks = ks_statistic(draws, SirDistribution(shape=row.shape, beta=row.beta))
         except (ValueError, ArithmeticError) as exc:
             raise SweepPointError(point, exc) from exc
@@ -322,6 +318,20 @@ def rows_to_csv(rows: list, validation: bool = False) -> str:
     lines = [HEADER_VALIDATE if validation else HEADER]
     lines += [",".join(_fmt(getattr(row, name)) for name in columns) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _law_on_grid(dist: SirDistribution, grid) -> tuple:
+    """The law's pdf and cdf on the grid; an overflow or a non-finite value names the law."""
+    law = f"SIR law at shape={dist.shape!r}, beta={dist.beta!r}"
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            pdf, cdf = sir_pdf(dist, grid), sir_cdf(dist, grid)
+    except OverflowError as exc:
+        raise OverflowError(f"{law}: {exc}") from exc
+    bad = ~(np.isfinite(pdf) & np.isfinite(cdf))
+    if bad.any():
+        raise ArithmeticError(f"{law}: non-finite pdf or cdf at y={grid[bad][0]:.12g}")
+    return pdf, cdf
 
 
 class _Parser(argparse.ArgumentParser):
@@ -417,10 +427,9 @@ def main(argv=None) -> int:
         else:  # dist
             if not (args.points >= 2 and 0.0 < args.ymin < args.ymax < math.inf):
                 raise ConfigError("dist needs 0 < ymin < ymax < inf and points >= 2")
-            dist = sir_distribution(spec.base)
             grid = np.geomspace(args.ymin, args.ymax, args.points)
-            columns = zip(grid.tolist(), sir_pdf(dist, grid).tolist(),
-                          sir_cdf(dist, grid).tolist())
+            pdf, cdf = _law_on_grid(sir_distribution(spec.base), grid)
+            columns = zip(grid.tolist(), pdf.tolist(), cdf.tolist())
             text = "\n".join(["y,pdf,cdf"] + [",".join(map(_fmt, row)) for row in columns]) + "\n"
         _write_output(text, args.out)
         return 0

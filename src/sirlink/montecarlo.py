@@ -6,6 +6,10 @@ validates both.  The estimator is semi-analytic: it averages the closed-form
 conditional error probability over sampled fading states instead of
 simulating individual bits, which is the same expectation with orders of
 magnitude less variance.
+
+Draws come from numpy Generators, and this module alone derives seeds: block
+i of a run on seed s draws on SeedSequence(s, spawn_key=(i,)), and
+derived_seed gives the per-row seeds of validate.
 """
 
 from __future__ import annotations
@@ -49,73 +53,31 @@ class McEstimate:
             raise ValueError("samples must be >= 1")
 
 
-class RngStream:
-    """Deterministic random stream with derivable independent sub-streams.
-
-    The sub-stream rule: stream (seed, key) spawns child (seed, key + (index,)),
-    realized through numpy's SeedSequence spawn keys.  Each stream is
-    single-owner; derive one per worker or per block, never share.
-    """
-
-    def __init__(self, seed: int, _spawn_key: tuple = ()):
-        seed = int(seed)
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError(f"seed must be an unsigned 64-bit value, got {seed}")
-        self.seed = seed
-        self._spawn_key = tuple(_spawn_key)
-        self.generator = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=self._spawn_key))
-
-    def substream(self, index: int) -> "RngStream":
-        return RngStream(self.seed, self._spawn_key + (int(index),))
-
-
-def gamma_variate(rng: RngStream, shape: float, scale: float, size=None):
-    """Draw from Gamma(shape, scale); the law of a squared Nakagami amplitude.
-
-    shape >= 0.5 covers the supported fading range; non-integer shape is
-    handled by the generator's rejection sampler.
-    """
-    if not shape >= 0.5:
-        raise ValueError(f"shape must be >= 0.5, got {shape}")
-    if not scale > 0.0:
-        raise ValueError(f"scale must be > 0, got {scale}")
-    out = rng.generator.gamma(shape, scale, size=size)
-    return float(out) if size is None else out
-
-
-def _interferer_power(rng: RngStream, rho: float, size=None):
+def _interferer_power(rng: np.random.Generator, rho: float, size: int):
     """Squared Rayleigh interferer amplitude: exponential with mean rho, never 0."""
-    out = rng.generator.exponential(rho, size=size)
-    if size is None:
-        while out == 0.0:  # float underflow; probability ~2**-53 per draw
-            out = float(rng.generator.exponential(rho))
-        return out
+    out = rng.exponential(rho, size=size)
     while True:
-        zero = out == 0.0
+        zero = out == 0.0  # float underflow; probability ~2**-53 per draw
         if not zero.any():
             return out
-        out[zero] = rng.generator.exponential(rho, size=int(zero.sum()))
+        out[zero] = rng.exponential(rho, size=int(zero.sum()))
 
 
-def sample_sir(rng: RngStream, scenario: Scenario, size=None):
-    """Draw the combined SIR from the physical model.
+def sample_sir(rng: np.random.Generator, scenario: Scenario, size: int):
+    """Draw size combined SIRs from the physical model.
 
     The combined signal power is the sum of M independent Gamma(m, sigma/m)
-    branch powers; the interference power is the geometric link factor times
-    an exponential of mean rho.  Returns a float when size is None.
+    branch powers (squared Nakagami amplitudes); the interference power is
+    the geometric link factor times an exponential of mean rho.
     """
     m = scenario.fading.m
     sigma = scenario.fading.sigma
-    branches = scenario.branches
     link = scenario.link
     c_geom = 10.0 ** ((link.p2_dbm - link.p1_dbm) / 10.0) * (link.s / link.t) ** link.n
 
-    branch_shape = (branches,) if size is None else (size, branches)
-    signal = gamma_variate(rng, m, sigma / m, size=branch_shape).sum(axis=-1)
-    interference = c_geom * _interferer_power(rng, scenario.interferer.rho, size=size)
-    out = signal / interference
-    return float(out) if size is None else out
+    signal = rng.gamma(m, sigma / m, size=(size, scenario.branches)).sum(axis=-1)
+    interference = c_geom * _interferer_power(rng, scenario.interferer.rho, size)
+    return signal / interference
 
 
 def _blocks(samples: int) -> list:
@@ -126,14 +88,15 @@ def _blocks(samples: int) -> list:
             for index, start in enumerate(range(0, samples, BLOCK_SIZE))]
 
 
-def _block_partial(scenario: Scenario, root: RngStream, out, block) -> tuple:
+def _block_partial(scenario: Scenario, seed: int, out, block) -> tuple:
     """(count, mean, sum_sq_dev) of conditional BER over one block of SIRs.
 
-    Block (index, start, stop) is drawn on sub-stream index of root; when out
-    is an array, the draws are also stored in out[start:stop].
+    Block (index, start, stop) is drawn on SeedSequence(seed, spawn_key=(index,));
+    when out is an array, the draws are also stored in out[start:stop].
     """
     index, start, stop = block
-    sirs = sample_sir(root.substream(index), scenario, size=stop - start)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    sirs = sample_sir(rng, scenario, size=stop - start)
     if out is not None:
         out[start:stop] = sirs
     p = 0.5 * _erfc_vec(np.sqrt(sirs))
@@ -156,15 +119,22 @@ def _fold(partials, seed: int) -> McEstimate:
     return McEstimate(mean=mean_acc,
                       std_error=math.sqrt(variance / n_acc),
                       samples=n_acc,
-                      seed=int(seed))
+                      seed=seed)
 
 
 def _estimate(scenario: Scenario, samples: int, seed: int, out=None) -> McEstimate:
     """Draw the blocks on the pool and fold their partials as they come, in block order."""
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be an unsigned 64-bit value, got {seed}")
     blocks = _blocks(samples)
     with ThreadPoolExecutor(WORKERS) as pool:
-        return _fold(pool.map(partial(_block_partial, scenario, RngStream(seed), out), blocks),
-                     seed)
+        return _fold(pool.map(partial(_block_partial, scenario, seed, out), blocks), seed)
+
+
+def derived_seed(master: int, *key: int) -> int:
+    """A 64-bit seed derived from master and key, e.g. one per grid row."""
+    return int(np.random.SeedSequence(master, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
 def estimate_ber(scenario: Scenario, samples: int, seed: int) -> McEstimate:

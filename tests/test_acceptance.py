@@ -27,7 +27,6 @@ from conftest import (
     scen,
 )
 from sirlink import (
-    RngStream,
     SirDistribution,
     ber,
     ber_direct,
@@ -125,7 +124,7 @@ def test_criterion_5_monte_carlo_equivalence():
         sigmas = abs(analytic - estimate.mean) / estimate.std_error
         worst_sigmas = max(worst_sigmas, sigmas)
         assert sigmas <= 3.0, f"{label}: {sigmas:.2f} standard errors"
-        draws = sample_sir(RngStream(2000 + index), scenario, size=10 ** 6)
+        draws = sample_sir(np.random.default_rng(2000 + index), scenario, size=10 ** 6)
         ks = ks_statistic(draws, sir_distribution(scenario))
         worst_ks = max(worst_ks, ks)
         assert ks < 0.005, f"{label}: KS = {ks:.4f}"

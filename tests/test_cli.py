@@ -8,11 +8,11 @@ import threading
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence, default_rng
 
 from conftest import CONFIG_DIR
 from sirlink import (
     CrossCheckError,
-    RngStream,
     SirDistribution,
     ber,
     estimate_ber,
@@ -24,7 +24,6 @@ from sirlink.cli import (
     ConfigError,
     SweepPointError,
     _build_scenario,
-    _derived_seed,
     _grid_points,
     ks_threshold,
     main,
@@ -33,6 +32,7 @@ from sirlink.cli import (
     run_sweep,
     validate,
 )
+from sirlink.montecarlo import derived_seed
 
 MINIMAL = """
 [scenario]
@@ -266,12 +266,11 @@ class TestValidate:
         rows = validate(spec)
         for index, (row, point) in enumerate(zip(rows, _grid_points(spec))):
             scenario = _build_scenario(point)
-            seed = _derived_seed(spec.seed, index, 0)
+            seed = derived_seed(spec.seed, index, 0)
             estimate = estimate_ber(scenario, spec.samples, seed)
             assert (row.mc_mean, row.mc_std_error) == (estimate.mean, estimate.std_error)
-            root = RngStream(seed)
             draws = np.concatenate([
-                sample_sir(root.substream(i), scenario,
+                sample_sir(default_rng(SeedSequence(seed, spawn_key=(i,))), scenario,
                            size=min(montecarlo.BLOCK_SIZE, spec.samples - start))
                 for i, start in enumerate(range(0, spec.samples, montecarlo.BLOCK_SIZE))])
             assert draws.size == spec.samples
@@ -291,7 +290,7 @@ class TestValidate:
         draw = montecarlo.sample_sir
 
         def failing(rng, scenario, size=None):
-            if rng._spawn_key[-1] == 1:
+            if rng.bit_generator.seed_seq.spawn_key[-1] == 1:
                 raise ArithmeticError("overflow in block 1")
             return draw(rng, scenario, size)
 
@@ -406,16 +405,21 @@ class TestCliProcess:
         ("point", "--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3",
          "evaluation failed at grid point"),
         ("dist", "--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3 --points 3",
-         "numerical error"),
+         "numerical error: SIR law at shape=320.0, beta=40.0: "),
         # shape 100: the density overflows to NaN inside the direct route
         ("point", "--m 4 --M 25 --p1_dbm 15 --p2_dbm 6 --s 90 --t 90 --n 3",
          "direct route at shape=100.0, beta="),
-    ], ids=["shape-0.5", "shape-320", "dist-shape-320", "shape-100"])
+        # shape 100: the density overflows to NaN at y = 20 (true pdf 2.4757e-4)
+        ("dist", "--m 4 --M 25 --p1_dbm 6 --p2_dbm 30 --s 90 --t 90 --n 3 --points 3",
+         "numerical error: SIR law at shape=100.0, beta=1004.7545726038319: "
+         "non-finite pdf or cdf at y=20"),
+    ], ids=["shape-0.5", "shape-320", "dist-shape-320", "shape-100", "dist-shape-100"])
     def test_numerical_failure_exit_code(self, command, flags, message):
         proc = run_cli(command, *flags.split())
         assert proc.returncode == 2
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_unwritable_output_exit_code(self, tmp_path):
         proc = run_cli("point", "--config", os.path.join(CONFIG_DIR, "fig3_validate.ini"),

@@ -6,15 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence, default_rng
 
 from conftest import CANONICAL, FIG2, scen
 from sirlink import (
     McEstimate,
-    RngStream,
     SirDistribution,
     ber_direct,
     estimate_ber,
-    gamma_variate,
     ks_statistic,
     montecarlo,
     sample_sir,
@@ -28,7 +27,7 @@ N = 10 ** 6
 
 def inverse_transform_draws(dist, count, seed):
     """Independent construction of the SIR law: invert the closed-form CDF."""
-    u = RngStream(seed).generator.uniform(size=count)
+    u = default_rng(seed).uniform(size=count)
     root = u ** (1.0 / dist.shape)
     return root / (dist.beta * (1.0 - root))
 
@@ -41,90 +40,23 @@ def two_sample_ks(a, b):
     return float(np.max(np.abs(fa - fb)))
 
 
-class TestRngStream:
-    def test_determinism(self):
-        a = RngStream(99).generator.uniform(size=5)
-        b = RngStream(99).generator.uniform(size=5)
-        assert np.array_equal(a, b)
-
-    def test_substreams_differ(self):
-        root = RngStream(99)
-        a = root.substream(0).generator.uniform(size=5)
-        b = root.substream(1).generator.uniform(size=5)
-        assert not np.array_equal(a, b)
-
-    def test_substream_deterministic(self):
-        a = RngStream(99).substream(3).generator.uniform(size=5)
-        b = RngStream(99).substream(3).generator.uniform(size=5)
-        assert np.array_equal(a, b)
-
-    def test_seed_range(self):
-        with pytest.raises(ValueError):
-            RngStream(-1)
-        with pytest.raises(ValueError):
-            RngStream(2 ** 64)
-        RngStream(2 ** 64 - 1)
-
-
-class TestGammaVariate:
-    def test_unit_shape_is_exponential(self):
-        draws = gamma_variate(RngStream(1), 1.0, 1.0, size=N)
-        se = draws.std(ddof=1) / math.sqrt(N)
-        assert abs(draws.mean() - 1.0) < 5.0 * se
-
-    def test_branch_power_normalization(self):
-        # shape m, scale sigma/m keeps the mean branch power at sigma
-        draws = gamma_variate(RngStream(2), 3.0, 1.0 / 3.0, size=N)
-        se = draws.std(ddof=1) / math.sqrt(N)
-        assert abs(draws.mean() - 1.0) < 5.0 * se
-
-    def test_half_shape_variance(self):
-        draws = gamma_variate(RngStream(3), 0.5, 1.0, size=N)
-        variance = draws.var(ddof=1)
-        # var(sample variance) ~ (mu4 - sigma^4)/n with mu4 = 3k(k+2) = 3.75
-        se_var = math.sqrt((3.75 - 0.25) / N)
-        assert abs(variance - 0.5) < 5.0 * se_var
-
-    def test_scalar_draw(self):
-        value = gamma_variate(RngStream(4), 2.0, 0.5)
-        assert isinstance(value, float) and value > 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_variate(RngStream(0), 0.4, 1.0)
-        with pytest.raises(ValueError):
-            gamma_variate(RngStream(0), 1.0, 0.0)
-
-
 class TestSampleSir:
     def test_unit_median(self):
-        draws = sample_sir(RngStream(5), CANONICAL, size=N)
+        draws = sample_sir(default_rng(5), CANONICAL, size=N)
         # F(1) = 1/2 for shape 1, beta 1; median se ~ 1/(2 f(1) sqrt(n))
         assert abs(np.median(draws) - 1.0) < 0.01
 
     def test_ks_against_closed_form(self):
-        draws = sample_sir(RngStream(6), FIG2, size=N)
+        draws = sample_sir(default_rng(6), FIG2, size=N)
         assert ks_statistic(draws, sir_distribution(FIG2)) < 0.005
 
     def test_power_scale_invariance_in_distribution(self):
         base = scen(m=3, M=2, p1=17, p2=10, s=100, t=100, n=3.5)
         scaled = scen(m=3, M=2, p1=17, p2=10, s=100, t=100, n=3.5,
                       sigma=7.0, rho=7.0)
-        a = sample_sir(RngStream(7), base, size=N)
-        b = sample_sir(RngStream(8), scaled, size=N)
+        a = sample_sir(default_rng(7), base, size=N)
+        b = sample_sir(default_rng(8), scaled, size=N)
         assert two_sample_ks(a, b) < 0.005
-
-    def test_combined_branch_power_mean(self):
-        # E[sum of branch powers] = M * sigma
-        sigma, branches = 1.5, 3
-        draws = gamma_variate(RngStream(9), 2.0, sigma / 2.0, size=(N, branches))
-        total = draws.sum(axis=1)
-        se = total.std(ddof=1) / math.sqrt(N)
-        assert abs(total.mean() - branches * sigma) < 5.0 * se
-
-    def test_scalar_draw(self):
-        value = sample_sir(RngStream(10), FIG2)
-        assert isinstance(value, float) and value > 0.0
 
 
 class TestEstimateBer:
@@ -156,8 +88,7 @@ class TestEstimateBer:
     def test_block_schedule_independence(self):
         # folding out-of-order-computed block partials in index order must
         # reproduce the sequential estimate bit for bit
-        root = RngStream(14)
-        parts = [(block[0], *_block_partial(FIG2, root, None, block))
+        parts = [(block[0], *_block_partial(FIG2, 14, None, block))
                  for block in reversed(_blocks(3 * 65536 + 17))]
         n_acc, mean_acc, m2_acc = 0, 0.0, 0.0
         for _, count, mean, m2 in sorted(parts):
@@ -184,8 +115,8 @@ class TestEstimateBer:
             sys.setswitchinterval(interval)
         assert (estimate.mean, estimate.std_error) == (0.002128999602062179, 1.97129040749607e-05)
         assert with_draws == estimate
-        root = RngStream(14)
-        blocks = [sample_sir(root.substream(i), FIG2, size=min(BLOCK_SIZE, samples - start))
+        blocks = [sample_sir(default_rng(SeedSequence(14, spawn_key=(i,))), FIG2,
+                             size=min(BLOCK_SIZE, samples - start))
                   for i, start in enumerate(range(0, samples, BLOCK_SIZE))]
         assert np.array_equal(draws, np.concatenate(blocks))
         assert ks_statistic(draws, sir_distribution(FIG2)) == 0.0014256987422021083
@@ -205,6 +136,18 @@ class TestEstimateBer:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             estimate_ber(FIG2, 999, seed=0)
+
+    def test_seed_range(self):
+        with pytest.raises(ValueError):
+            estimate_ber(FIG2, 1000, seed=-1)
+        with pytest.raises(ValueError):
+            estimate_ber(FIG2, 1000, seed=2 ** 64)
+        estimate_ber(FIG2, 1000, seed=2 ** 64 - 1)
+
+    def test_blocks_draw_different_sirs(self):
+        # each block draws on its own SeedSequence child of the run's seed
+        _, draws = estimate_with_draws(FIG2, 2 * BLOCK_SIZE, seed=99)
+        assert np.intersect1d(draws[:BLOCK_SIZE], draws[BLOCK_SIZE:]).size == 0
 
     def test_estimate_invariants(self):
         with pytest.raises(ValueError):
@@ -231,12 +174,12 @@ class TestKsStatistic:
         gap = np.max(np.abs(np.asarray(sir_cdf(dist, ys))
                             - np.asarray(sir_cdf(doubled, ys))))
         assert gap > 0.05
-        draws = sample_sir(RngStream(16), FIG2, size=10 ** 5)
+        draws = sample_sir(default_rng(16), FIG2, size=10 ** 5)
         assert ks_statistic(draws, doubled) > 0.05
 
     def test_physical_vs_inverse_transform_routes(self):
         dist = sir_distribution(FIG2)
-        physical = sample_sir(RngStream(17), FIG2, size=N)
+        physical = sample_sir(default_rng(17), FIG2, size=N)
         inverted = inverse_transform_draws(dist, N, seed=18)
         assert two_sample_ks(physical, inverted) < 0.005
 
