@@ -1,10 +1,11 @@
 """Average bit-error-rate of the BPSK link, by two independent numerical routes.
 
 The direct route integrates the conditional error probability against the
-SIR density with adaptive quadrature.  The second route integrates by parts
-first, which turns the integral into the SIR distribution function weighted
-by y^(-1/2) e^(-y) - exactly the generalized Gauss-Laguerre weight - so a
-fixed rule evaluates it.  Both run on every top-level evaluation and must
+SIR density with adaptive quadrature, evaluating the density through the
+law's scalar closure (channel._scalar_pdf, bit-identical to sir_pdf).  The
+second route integrates by parts first, which turns the integral into the SIR
+distribution function weighted by y^(-1/2) e^(-y) - exactly the generalized
+Gauss-Laguerre weight - so a fixed rule evaluates it.  Both run on every top-level evaluation and must
 agree, otherwise the evaluation fails loudly.
 
 The quadrature, its tolerance, the rule (scipy roots_genlaguerre) and the
@@ -22,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, special
 
-from .channel import Scenario, SirDistribution, sir_cdf, sir_distribution, sir_pdf
+from .channel import Scenario, SirDistribution, _scalar_pdf, sir_cdf, sir_distribution
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -185,20 +186,28 @@ def gauss_laguerre_half(order: int) -> GaussLaguerreRule:
 def ber_direct(dist: SirDistribution) -> QuadratureResult:
     """Average BER by adaptive quadrature of conditional_ber against the SIR density.
 
-    The tolerances are integrate_semi_infinite's fixed ones.  A QuadratureError
-    names this route and the law's shape and beta.
+    Each node evaluates conditional_ber(y) * sir_pdf(dist, y) with the same bits,
+    through the law's hoisted scalar density.  The tolerances are
+    integrate_semi_infinite's fixed ones.  A QuadratureError, or the
+    OverflowError of a law whose beta**shape overflows, names this route and
+    the law's shape and beta.
     """
+    route = f"direct route at shape={dist.shape!r}, beta={dist.beta!r}"
+    try:
+        pdf = _scalar_pdf(dist)
+    except OverflowError as exc:
+        raise OverflowError(f"{route}: {exc}") from exc
+    erfc, sqrt = math.erfc, math.sqrt
 
     def integrand(y: float) -> float:
-        return conditional_ber(y) * sir_pdf(dist, y)
+        return 0.5 * erfc(sqrt(y)) * pdf(y)
 
     # An overflowing density surfaces as the named NaN failure, not as warnings.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return integrate_semi_infinite(integrand)
     except QuadratureError as exc:
-        raise QuadratureError(f"direct route at shape={dist.shape!r}, beta={dist.beta!r}: {exc}",
-                              exc.best_estimate, exc.error_estimate) from exc
+        raise QuadratureError(f"{route}: {exc}", exc.best_estimate, exc.error_estimate) from exc
 
 
 def ber_gl(dist: SirDistribution, order: int = DEFAULT_GL_ORDER) -> float:

@@ -403,7 +403,7 @@ class TestCliProcess:
          "evaluation failed at grid point"),
         # shape 320: the density overflows a float
         ("point", "--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3",
-         "evaluation failed at grid point"),
+         "direct route at shape=320.0, beta=40.0: "),
         ("dist", "--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3 --points 3",
          "numerical error: SIR law at shape=320.0, beta=40.0: "),
         # shape 100: the density overflows to NaN inside the direct route
