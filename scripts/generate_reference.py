@@ -1,0 +1,52 @@
+#!/usr/bin/env python3
+"""Regenerate tests/data/reference_ber.csv from mpmath's Tricomi U.
+
+Each row holds the average BER of one SIR law (shape k, scale beta) in
+closed form (DLMF 13.4, after substituting t = beta*y in the integrated-by-
+parts BER integral):
+
+    BER = Gamma(k + 1/2) / (2 sqrt(pi)) * beta^(-1/2) * U(k + 1/2, 3/2, 1/beta)
+
+at 50 significant digits, rounded once to the nearest double.  It shares no
+code with the package, which integrates numerically with scipy, so the
+analytic routes are held against it.  Laws whose BER underflows a normal
+double are left out.  Rerun only when the grid changes.
+"""
+
+import os
+import sys
+
+import mpmath
+
+REFERENCE_PATH = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                               "tests", "data", "reference_ber.csv"))
+DPS = 50
+SHAPES = (0.5, 1.0, 2.3, 4.0, 12.0, 24.0, 36.0, 50.0, 100.0, 320.0)
+BETAS = (1e-4, 1e-2, 0.305, 1.0, 5.0, 40.0, 1e3)
+
+
+def reference_ber(shape: float, beta: float) -> mpmath.mpf:
+    """The closed form above for the law (shape, beta), at DPS digits."""
+    with mpmath.workdps(DPS):
+        k, b = mpmath.mpf(shape), mpmath.mpf(beta)
+        a = k + mpmath.mpf(1) / 2
+        return mpmath.gamma(a) / (2 * mpmath.sqrt(mpmath.pi)) / mpmath.sqrt(b) \
+            * mpmath.hyperu(a, mpmath.mpf(3) / 2, 1 / b)
+
+
+def main() -> None:
+    lines = ["shape,beta,ber"]
+    for shape in SHAPES:
+        for beta in BETAS:
+            value = float(reference_ber(shape, beta))
+            if value < sys.float_info.min:
+                print(f"shape {shape!r}, beta {beta!r}: underflows a double, skipped")
+                continue
+            lines.append(f"{shape!r},{beta!r},{value!r}")
+    with open(REFERENCE_PATH, "w", encoding="utf-8", newline="") as handle:
+        handle.write("\n".join(lines) + "\n")
+    print(f"wrote {REFERENCE_PATH} ({len(lines) - 1} rows)")
+
+
+if __name__ == "__main__":
+    main()

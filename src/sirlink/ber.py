@@ -1,11 +1,12 @@
 """Average bit-error-rate of the BPSK link, by two independent numerical routes.
 
 The direct route integrates the conditional error probability against the
-SIR density with adaptive quadrature, evaluating the density through the
-law's scalar closure (channel._scalar_pdf, bit-identical to sir_pdf).  The
-second route integrates by parts first, which turns the integral into the SIR
-distribution function weighted by y^(-1/2) e^(-y) - exactly the generalized
-Gauss-Laguerre weight - so a fixed rule evaluates it.  Both run on every top-level evaluation and must
+SIR density with adaptive quadrature to a relative-only tolerance,
+evaluating the density in log space with scalar `math` calls, so deep-quiet
+and high-order laws keep their digits.  The second route integrates by parts
+first, which turns the integral into the SIR distribution function weighted
+by y^(-1/2) e^(-y) - exactly the generalized Gauss-Laguerre weight - so a
+fixed rule evaluates it.  Both run on every top-level evaluation and must
 agree, otherwise the evaluation fails loudly.
 
 The quadrature, its tolerance, the rule (scipy roots_genlaguerre) and the
@@ -23,15 +24,15 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, special
 
-from .channel import Scenario, SirDistribution, _scalar_pdf, sir_cdf, sir_distribution
+from .channel import Scenario, SirDistribution, sir_cdf, sir_distribution
 
 SQRT_PI = math.sqrt(math.pi)
 
-# Tolerances of every analytical evaluation; nothing outside this module sets
-# them.  Tight enough that Monte Carlo statistical error dominates every
-# cross-validation.
+# Tolerance of every analytical evaluation; nothing outside this module sets
+# it.  It is relative only, so a BER of 1e-20 is resolved to the same digits
+# as one of 1e-2, and tight enough that Monte Carlo statistical error
+# dominates every cross-validation.
 DEFAULT_REL_TOL = 1e-10
-DEFAULT_ABS_TOL = 1e-12
 
 # Absolute dual-route agreement required by ber(); disagreement beyond this
 # signals a route defect for shape >= 1 and moderate beta.  The Gauss-Laguerre
@@ -144,7 +145,7 @@ def conditional_ber(gamma: float) -> float:
 
 
 def integrate_semi_infinite(f: Callable[[float], float]) -> QuadratureResult:
-    """Adaptively integrate f over (0, inf) to DEFAULT_REL_TOL and DEFAULT_ABS_TOL.
+    """Adaptively integrate f over (0, inf) to the relative tolerance DEFAULT_REL_TOL.
 
     Tolerates an integrable power singularity at the origin up to y^(-1/2):
     the substitution y = u**2 removes it before the transformed integrand is
@@ -156,7 +157,7 @@ def integrate_semi_infinite(f: Callable[[float], float]) -> QuadratureResult:
         return 2.0 * u * f(u * u)
 
     out = integrate.quad(transformed, 0.0, math.inf,
-                         epsabs=DEFAULT_ABS_TOL, epsrel=DEFAULT_REL_TOL,
+                         epsabs=0.0, epsrel=DEFAULT_REL_TOL,
                          limit=250, full_output=1)
     value, abs_err, info = out[0], out[1], out[2]
     if math.isnan(value):
@@ -186,28 +187,27 @@ def gauss_laguerre_half(order: int) -> GaussLaguerreRule:
 def ber_direct(dist: SirDistribution) -> QuadratureResult:
     """Average BER by adaptive quadrature of conditional_ber against the SIR density.
 
-    Each node evaluates conditional_ber(y) * sir_pdf(dist, y) with the same bits,
-    through the law's hoisted scalar density.  The tolerances are
-    integrate_semi_infinite's fixed ones.  A QuadratureError, or the
-    OverflowError of a law whose beta**shape overflows, names this route and
-    the law's shape and beta.
+    Each node evaluates 0.5*erfc(sqrt(y)) * exp(log pdf(y)), with
+    log pdf(y) = log k + k*log(beta) + (k-1)*log(y) - (k+1)*log1p(beta*y) for
+    k = shape, so neither beta**k nor y**(k-1) overflows or underflows on its
+    own.  The tolerance is integrate_semi_infinite's relative one.
+    A QuadratureError (a NaN integrand included) or a math range error names
+    this route and the law's shape and beta.
     """
     route = f"direct route at shape={dist.shape!r}, beta={dist.beta!r}"
-    try:
-        pdf = _scalar_pdf(dist)
-    except OverflowError as exc:
-        raise OverflowError(f"{route}: {exc}") from exc
-    erfc, sqrt = math.erfc, math.sqrt
+    k, beta = dist.shape, dist.beta
+    head, rise, fall = math.log(k) + k * math.log(beta), k - 1.0, k + 1.0
+    erfc, exp, log, log1p, sqrt = math.erfc, math.exp, math.log, math.log1p, math.sqrt
 
     def integrand(y: float) -> float:
-        return 0.5 * erfc(sqrt(y)) * pdf(y)
+        return 0.5 * erfc(sqrt(y)) * exp(head + rise * log(y) - fall * log1p(beta * y))
 
-    # An overflowing density surfaces as the named NaN failure, not as warnings.
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return integrate_semi_infinite(integrand)
+        return integrate_semi_infinite(integrand)
     except QuadratureError as exc:
         raise QuadratureError(f"{route}: {exc}", exc.best_estimate, exc.error_estimate) from exc
+    except OverflowError as exc:
+        raise OverflowError(f"{route}: {exc}") from exc
 
 
 def ber_gl(dist: SirDistribution, order: int = DEFAULT_GL_ORDER) -> float:

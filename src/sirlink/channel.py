@@ -5,9 +5,8 @@ amplitude gamma-distributed), the single co-channel interferer is Rayleigh,
 and the M maximal-ratio-combined branches yield an SIR whose density has the
 two-parameter closed form carried by :class:`SirDistribution`: the only
 density the package evaluates (montecarlo samples the fading laws instead).
-`sir_pdf` takes scalars or arrays; the direct BER route evaluates the same
-density one quadrature node at a time through `_scalar_pdf`, which hoists the
-law's constants and returns sir_pdf's bits.
+`sir_pdf` and `sir_cdf` take scalars or arrays; the direct BER route
+evaluates the same density in log space, one quadrature node at a time.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -145,29 +143,6 @@ def sir_pdf(dist: SirDistribution, y):
     s, b = dist.shape, dist.beta
     out = s * b ** s * y ** (s - 1.0) * (1.0 + b * y) ** -(s + 1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def _scalar_pdf(dist: SirDistribution) -> Callable[[float], float]:
-    """sir_pdf(dist, y) for one float y >= 0, bit for bit, with the law's constants hoisted.
-
-    The per-call cost is what ber_direct's quadrature pays at every node.  Building
-    it raises OverflowError when beta**shape overflows, as sir_pdf would.
-    """
-    s, b = dist.shape, dist.beta
-    scale, rise, fall = s * b ** s, s - 1.0, -(s + 1.0)
-    singular = s < 1.0
-
-    def pdf(y: float) -> float:
-        if singular and y == 0.0:
-            raise SingularityError("pdf diverges at y = 0 for shape < 1; evaluate at y > 0")
-        # Each power keeps the implementation it has in sir_pdf, since they round
-        # differently.  y**rise stays an ndarray power: numpy's loop (SIMD where
-        # the CPU has it) with its exact fast paths for rise 0, 0.5, 1 and 2;
-        # math.pow differs from it in the last bit.  1 + b*y is a numpy scalar
-        # in sir_pdf, whose power is libm pow, as a float's power is.
-        return float(scale * np.asarray(y) ** rise * (1.0 + b * y) ** fall)
-
-    return pdf
 
 
 def sir_cdf(dist: SirDistribution, y):

@@ -12,6 +12,7 @@ from sirlink import (
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_PATH = os.path.join(DATA_DIR, "golden_ber.csv")
+REFERENCE_PATH = os.path.join(DATA_DIR, "reference_ber.csv")
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 

@@ -1,12 +1,12 @@
 """BER-engine tests: dual-route agreement, limits, monotonicity, invariance."""
 
+import csv
 import importlib
 import math
 
-import numpy as np
 import pytest
 
-from conftest import BER_GRID, FIG2, FIG3, FIG4, scen
+from conftest import BER_GRID, FIG2, FIG3, FIG4, REFERENCE_PATH, scen
 from sirlink import (
     BerResult,
     CrossCheckError,
@@ -17,10 +17,8 @@ from sirlink import (
     ber_gl,
     conditional_ber,
     gauss_laguerre_half,
-    integrate_semi_infinite,
     sir_cdf,
     sir_distribution,
-    sir_pdf,
 )
 from sirlink.ber import SQRT_PI
 
@@ -65,16 +63,18 @@ class TestBerDirect:
         direct = ber_direct(dist)
         assert direct.value == pytest.approx(ber_gl(dist), abs=1e-8)
 
-    # shapes 1, 1.5, 2 and 3 take ndarray power's fast paths; the last two
-    # laws are perfbench/README's early-stop reproducers
-    @pytest.mark.parametrize("shape, beta", [
-        (0.5, 0.05), (1.0, 0.05), (1.5, 1.0), (2.0, 0.05), (3.0, 1.0), (4.5, 0.05),
-        (24.0, 1.0), (36.0, 0.05), (4.0, 0.00807), (24.0, 0.305)])
-    def test_same_result_as_sir_pdf_integrand(self, shape, beta):
-        dist = SirDistribution(shape=shape, beta=beta)
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = integrate_semi_infinite(lambda y: conditional_ber(y) * sir_pdf(dist, y))
-        assert ber_direct(dist) == expected
+    def test_matches_reference_table(self):
+        # every row of the mpmath Tricomi-U table, BER from 0.48 down to 1e-244
+        with open(REFERENCE_PATH, encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 69
+        misses = []
+        for row in rows:
+            shape, beta, expected = (float(row[key]) for key in ("shape", "beta", "ber"))
+            value = ber_direct(SirDistribution(shape=shape, beta=beta)).value
+            if not abs(value - expected) <= 1e-12 * expected:
+                misses.append((shape, beta, value, expected))
+        assert misses == []
 
     def test_quadrature_failure_names_route(self, monkeypatch):
         def fail(integrand):
@@ -88,6 +88,15 @@ class TestBerDirect:
         assert str(info.value) == \
             "direct route at shape=2.0, beta=0.25: quadrature did not converge"
         assert (info.value.best_estimate, info.value.error_estimate) == (0.125, 0.5)
+
+    def test_range_error_names_route(self, monkeypatch):
+        def overflow(x):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(math, "exp", overflow)
+        with pytest.raises(OverflowError) as info:
+            ber_direct(SirDistribution(shape=2.0, beta=0.25))
+        assert str(info.value) == "direct route at shape=2.0, beta=0.25: math range error"
 
 
 class TestBerGl:

@@ -1,7 +1,6 @@
 """Channel-model tests: densities against quadrature oracles, invariants, errors."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from sirlink import (
     sir_distribution,
     sir_pdf,
 )
-from sirlink.channel import _scalar_pdf
 
 
 def sir_pdf_physical_oracle(scenario, y):
@@ -162,28 +160,6 @@ class TestSirPdf:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sir_pdf(SirDistribution(shape=1.0, beta=1.0), -0.5)
-
-
-def same_bits(a, b):
-    return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
-
-
-class TestScalarPdf:
-    # 1, 1.5, 2 and 3 put y**(shape-1) on ndarray power's exact fast paths;
-    # 36 and 100 reach overflow (inf, NaN) and underflow at the ends of the y range.
-    @pytest.mark.parametrize("shape", [0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 24.0, 36.0, 100.0])
-    def test_bits_match_sir_pdf(self, shape):
-        ys = np.geomspace(1e-8, 1e8, 400).tolist()
-        for beta in (1e-3, 0.305, 5.0):
-            dist = SirDistribution(shape=shape, beta=beta)
-            pdf = _scalar_pdf(dist)
-            with np.errstate(over="ignore", invalid="ignore"):
-                mismatched = [y for y in ys if not same_bits(pdf(y), sir_pdf(dist, y))]
-            assert mismatched == [], (beta, mismatched[:3])
-
-    def test_singularity_raises(self):
-        with pytest.raises(SingularityError):
-            _scalar_pdf(SirDistribution(shape=0.5, beta=1.0))(0.0)
 
 
 class TestSirCdf:

@@ -96,10 +96,10 @@ n = 3.5
 # the single-threaded block loop: four blocks per point, the last one short.
 FIG3_VALIDATE_200003 = """\
 m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err,mc_mean,mc_std_error,ks_stat,pass
-2,1,1,1,15,6,90,90,3,2,0.251785082359,0.0103795784026,1.87446692878e-13,0.0104464331059,7.29353521855e-05,0.00108544370988,1
-2,2,1,1,15,6,90,90,3,4,0.251785082359,0.00109323449706,6.40074111356e-13,0.00109865993375,1.51437495469e-05,0.0015462389839,1
-2,3,1,1,15,6,90,90,3,6,0.251785082359,0.000188460197724,8.95929825521e-13,0.000186511923749,4.07425102331e-06,0.00235027798181,1
-2,4,1,1,15,6,90,90,3,8,0.251785082359,4.23973991199e-05,4.5366983243e-13,4.41224830965e-05,1.58211033536e-06,0.00195823598266,1
+2,1,1,1,15,6,90,90,3,2,0.251785082359,0.0103795784026,1.87446714678e-13,0.0104464331059,7.29353521855e-05,0.00108544370988,1
+2,2,1,1,15,6,90,90,3,4,0.251785082359,0.00109323449706,9.95249850758e-15,0.00109865993375,1.51437495469e-05,0.0015462389839,1
+2,3,1,1,15,6,90,90,3,6,0.251785082359,0.000188460197724,5.94784843717e-16,0.000186511923749,4.07425102331e-06,0.00235027798181,1
+2,4,1,1,15,6,90,90,3,8,0.251785082359,4.23973991199e-05,1.50290230105e-15,4.41224830965e-05,1.58211033536e-06,0.00195823598266,1
 """
 
 
@@ -108,29 +108,29 @@ m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err,mc_mean,mc_std_error,k
 SWEEP_FROZEN = {
     "fig2_sweep.ini": """\
 m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err
-3,2,1,1,17,10,60,60,3.5,6,0.598578694491,0.0021314717046,1.71383493552e-13
-3,2,1,1,17,10,70,60,3.5,6,1.02667980259,0.00684057612661,5.7735820096e-13
-3,2,1,1,17,10,80,60,3.5,6,1.63835055595,0.0156154626257,1.59184314162e-14
-3,2,1,1,17,10,90,60,3.5,6,2.47423337843,0.0285924510641,7.25413949986e-15
-3,2,1,1,17,10,100,60,3.5,6,3.577600795,0.04512936123,3.19769091067e-12
-3,2,1,1,17,10,60,90,3.5,6,0.144811098509,2.70551584463e-05,8.5240738812e-14
-3,2,1,1,17,10,70,90,3.5,6,0.248379421785,0.000180340391282,8.96587807281e-13
-3,2,1,1,17,10,80,90,3.5,6,0.396357815494,0.00073516474146,3.83156857556e-13
-3,2,1,1,17,10,90,90,3.5,6,0.598578694491,0.0021314717046,1.71383493552e-13
-3,2,1,1,17,10,100,90,3.5,6,0.865510760604,0.00485492250618,4.39151873695e-13
-3,2,1,1,17,10,60,120,3.5,6,0.0529073817435,3.64216160875e-07,3.0027941038e-14
-3,2,1,1,17,10,70,120,3.5,6,0.090746531315,4.12542468573e-06,5.03506542589e-14
-3,2,1,1,17,10,80,120,3.5,6,0.144811098509,2.70551584463e-05,8.5240738812e-14
-3,2,1,1,17,10,90,120,3.5,6,0.218693400016,0.000118402987064,7.74310298074e-13
-3,2,1,1,17,10,100,120,3.5,6,0.316218222815,0.000382991767069,2.89077833188e-13
+3,2,1,1,17,10,60,60,3.5,6,0.598578694491,0.0021314717046,1.71384059133e-13
+3,2,1,1,17,10,70,60,3.5,6,1.02667980259,0.00684057612661,5.77357778501e-13
+3,2,1,1,17,10,80,60,3.5,6,1.63835055595,0.0156154626257,1.5921474272e-14
+3,2,1,1,17,10,90,60,3.5,6,2.47423337843,0.0285924510641,7.25464965723e-15
+3,2,1,1,17,10,100,60,3.5,6,3.577600795,0.04512936123,3.19769124937e-12
+3,2,1,1,17,10,60,90,3.5,6,0.144811098509,2.70551584463e-05,3.01543365842e-16
+3,2,1,1,17,10,70,90,3.5,6,0.248379421785,0.000180340391282,5.63688766696e-16
+3,2,1,1,17,10,80,90,3.5,6,0.396357815494,0.00073516474146,3.00852551129e-15
+3,2,1,1,17,10,90,90,3.5,6,0.598578694491,0.0021314717046,1.71384059133e-13
+3,2,1,1,17,10,100,90,3.5,6,0.865510760604,0.00485492250618,4.39151621427e-13
+3,2,1,1,17,10,60,120,3.5,6,0.0529073817435,3.64216160875e-07,6.93085525331e-18
+3,2,1,1,17,10,70,120,3.5,6,0.090746531315,4.12542468573e-06,1.58053399917e-16
+3,2,1,1,17,10,80,120,3.5,6,0.144811098509,2.70551584463e-05,3.01543365842e-16
+3,2,1,1,17,10,90,120,3.5,6,0.218693400016,0.000118402987064,6.07091676281e-16
+3,2,1,1,17,10,100,120,3.5,6,0.316218222815,0.000382991767069,1.76834228523e-15
 """,
     "fig4_sweep.ini": """\
 m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err
-4,3,1,1,15,0,100,80,2.9,12,0.241601167743,2.77238238931e-06,6.93844269323e-13
-4,3,1,1,15,3,100,80,2.9,12,0.48205770525,6.67821915155e-05,6.35981834564e-15
-4,3,1,1,15,6,100,80,2.9,12,0.961831572926,0.000749890630772,2.46922872261e-13
-4,3,1,1,15,9,100,80,2.9,12,1.91910629081,0.0045444986311,5.99257038005e-14
-4,3,1,1,15,12,100,80,2.9,12,3.82912046046,0.0170591947116,2.16299847274e-14
+4,3,1,1,15,0,100,80,2.9,12,0.241601167743,2.77238238931e-06,2.85009974313e-17
+4,3,1,1,15,3,100,80,2.9,12,0.48205770525,6.67821915155e-05,6.3598162869e-15
+4,3,1,1,15,6,100,80,2.9,12,0.961831572926,0.000749890630772,6.53384511259e-14
+4,3,1,1,15,9,100,80,2.9,12,1.91910629081,0.0045444986311,5.99254917499e-14
+4,3,1,1,15,12,100,80,2.9,12,3.82912046046,0.0170591947116,2.16298123077e-14
 """,
 }
 
@@ -402,24 +402,35 @@ class TestCliProcess:
         ("point", "--m 0.5 --M 1 --p1_dbm 15 --p2_dbm 6 --s 90 --t 90 --n 3",
          "evaluation failed at grid point"),
         # shape 320: the density overflows a float
-        ("point", "--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3",
-         "direct route at shape=320.0, beta=40.0: "),
         ("dist", "--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3 --points 3",
          "numerical error: SIR law at shape=320.0, beta=40.0: "),
-        # shape 100: the density overflows to NaN inside the direct route
-        ("point", "--m 4 --M 25 --p1_dbm 15 --p2_dbm 6 --s 90 --t 90 --n 3",
-         "direct route at shape=100.0, beta="),
         # shape 100: the density overflows to NaN at y = 20 (true pdf 2.4757e-4)
         ("dist", "--m 4 --M 25 --p1_dbm 6 --p2_dbm 30 --s 90 --t 90 --n 3 --points 3",
          "numerical error: SIR law at shape=100.0, beta=1004.7545726038319: "
          "non-finite pdf or cdf at y=20"),
-    ], ids=["shape-0.5", "shape-320", "dist-shape-320", "shape-100", "dist-shape-100"])
+    ], ids=["shape-0.5", "dist-shape-320", "dist-shape-100"])
     def test_numerical_failure_exit_code(self, command, flags, message):
         proc = run_cli(command, *flags.split())
         assert proc.returncode == 2
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    # Deep-quiet and high-order points; each reference is the law's BER from
+    # scripts/generate_reference.py's reference_ber, rounded once to a double.
+    @pytest.mark.parametrize("flags, reference", [
+        ("--m 4.5 --M 8 --p1_dbm 30 --p2_dbm 10.46 --s 100 --t 100 --n 3",
+         1.8870589357051917e-20),
+        ("--m 4 --M 25 --p1_dbm 15 --p2_dbm 6 --s 90 --t 90 --n 3", 7.847342739838786e-13),
+        ("--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3", 0.0017725865671764235),
+    ], ids=["shape-36-ber-1e-20", "shape-100", "shape-320"])
+    def test_point_matches_reference(self, flags, reference):
+        proc = run_cli("point", *flags.split())
+        assert proc.returncode == 0, proc.stderr
+        header, row = proc.stdout.splitlines()
+        printed = dict(zip(header.split(","), row.split(",")))["ber"]
+        # the CSV prints 12 significant digits; they must be the reference's
+        assert printed == f"{reference:.12g}"
 
     def test_unwritable_output_exit_code(self, tmp_path):
         proc = run_cli("point", "--config", os.path.join(CONFIG_DIR, "fig3_validate.ini"),

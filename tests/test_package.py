@@ -6,6 +6,7 @@ import sys
 
 import sirlink
 import sirlink.montecarlo
+from conftest import REFERENCE_PATH
 
 PUBLIC_NAMES = [
     "BerResult", "CROSS_CHECK_THRESHOLD", "CrossCheckError", "DEFAULT_GL_ORDER",
@@ -37,4 +38,14 @@ def test_generate_golden_imports(monkeypatch):
     spec.loader.exec_module(script)
     assert script.estimate_ber is sirlink.estimate_ber
     assert script.derived_seed is sirlink.montecarlo.derived_seed
+    assert callable(script.main)
+
+
+def test_generate_reference_imports():
+    # load the script as a module without running main()
+    path = os.path.join(SCRIPTS_DIR, "generate_reference.py")
+    spec = importlib.util.spec_from_file_location("generate_reference", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert os.path.samefile(script.REFERENCE_PATH, REFERENCE_PATH)
     assert callable(script.main)
