@@ -4,6 +4,7 @@ import csv
 import importlib
 import math
 
+import numpy as np
 import pytest
 
 from conftest import BER_GRID, FIG2, FIG3, FIG4, REFERENCE_PATH, scen
@@ -17,8 +18,10 @@ from sirlink import (
     ber_gl,
     conditional_ber,
     gauss_laguerre_half,
+    integrate_semi_infinite,
     sir_cdf,
     sir_distribution,
+    sir_pdf,
 )
 from sirlink.ber import SQRT_PI
 
@@ -62,6 +65,19 @@ class TestBerDirect:
         dist = SirDistribution(shape=1.0, beta=1.0)
         direct = ber_direct(dist)
         assert direct.value == pytest.approx(ber_gl(dist), abs=1e-8)
+
+    # the log-space integrand evaluates the same integral as conditional_ber
+    # times sir_pdf but rounds differently, so the two agree to a relative
+    # 1e-13 rather than to the bit; the last two laws are perfbench/README's
+    # former early-stop reproducers
+    @pytest.mark.parametrize("shape, beta", [
+        (0.5, 0.05), (1.0, 0.05), (1.5, 1.0), (2.0, 0.05), (3.0, 1.0), (4.5, 0.05),
+        (24.0, 1.0), (36.0, 0.05), (4.0, 0.00807), (24.0, 0.305)])
+    def test_same_result_as_sir_pdf_integrand(self, shape, beta):
+        dist = SirDistribution(shape=shape, beta=beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = integrate_semi_infinite(lambda y: conditional_ber(y) * sir_pdf(dist, y))
+        assert ber_direct(dist).value == pytest.approx(expected.value, rel=1e-13, abs=0.0)
 
     def test_matches_reference_table(self):
         # every row of the mpmath Tricomi-U table, BER from 0.48 down to 1e-244

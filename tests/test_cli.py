@@ -401,14 +401,22 @@ class TestCliProcess:
         # shape 0.5: GL route cannot match the direct route at 1e-7
         ("point", "--m 0.5 --M 1 --p1_dbm 15 --p2_dbm 6 --s 90 --t 90 --n 3",
          "evaluation failed at grid point"),
+        # shape 320 under strong interference (beta 4e4): the direct route
+        # matches the reference, but the order-128 GL rule cannot resolve the
+        # narrow law, so the cross-check refuses the point
+        ("point", "--m 40 --M 8 --p1_dbm 10 --p2_dbm 40 --s 100 --t 100 --n 3",
+         "BER routes disagree: direct=0.418135280699"),
         # shape 320: the density overflows a float
         ("dist", "--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3 --points 3",
          "numerical error: SIR law at shape=320.0, beta=40.0: "),
+        # shape 100 at beta 1004.75: the same GL-route limit as shape 320 above
+        ("point", "--m 4 --M 25 --p1_dbm 6 --p2_dbm 30 --s 90 --t 90 --n 3",
+         "BER routes disagree: direct=0.266383154551"),
         # shape 100: the density overflows to NaN at y = 20 (true pdf 2.4757e-4)
         ("dist", "--m 4 --M 25 --p1_dbm 6 --p2_dbm 30 --s 90 --t 90 --n 3 --points 3",
          "numerical error: SIR law at shape=100.0, beta=1004.7545726038319: "
          "non-finite pdf or cdf at y=20"),
-    ], ids=["shape-0.5", "dist-shape-320", "dist-shape-100"])
+    ], ids=["shape-0.5", "shape-320", "dist-shape-320", "shape-100", "dist-shape-100"])
     def test_numerical_failure_exit_code(self, command, flags, message):
         proc = run_cli(command, *flags.split())
         assert proc.returncode == 2
