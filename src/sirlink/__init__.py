@@ -12,7 +12,6 @@ from .ber import (
     DEFAULT_GL_ORDER,
     BerResult,
     CrossCheckError,
-    GaussLaguerreRule,
     QuadratureError,
     QuadratureResult,
     ber,
@@ -46,7 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BerResult", "CROSS_CHECK_THRESHOLD", "CrossCheckError", "DEFAULT_GL_ORDER",
-    "FadingParams", "GaussLaguerreRule", "InterfererParams", "LinkBudget",
+    "FadingParams", "InterfererParams", "LinkBudget",
     "McEstimate", "QuadratureError", "QuadratureResult",
     "Scenario", "SingularityError", "SirDistribution",
     "ber", "ber_direct", "ber_gl", "conditional_ber", "estimate_ber",

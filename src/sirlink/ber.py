@@ -6,12 +6,14 @@ evaluating the density in log space with scalar `math` calls, so deep-quiet
 and high-order laws keep their digits.  The second route integrates by parts
 first, which turns the integral into the SIR distribution function weighted
 by y^(-1/2) e^(-y) - exactly the generalized Gauss-Laguerre weight - so a
-fixed rule evaluates it.  Both run on every top-level evaluation and must
-agree, otherwise the evaluation fails loudly.
+fixed 128-node rule evaluates it as one dot product over scipy's arrays.
+Both run on every top-level evaluation and must agree, otherwise the
+evaluation fails loudly.
 
-The quadrature, its tolerance, the rule (scipy roots_genlaguerre) and the
-paper's Gamma(1/2, .) (scipy gammaincc) live here too.  All functions are
-pure; the rule cache is the only shared state, so all are thread-safe.
+The quadrature, its tolerance, the rule (scipy roots_genlaguerre, cached as
+read-only arrays) and the paper's Gamma(1/2, .) (scipy gammaincc) live here
+too.  All functions are pure; the rule cache is the only shared state and
+cannot be written, so all are thread-safe.
 """
 
 from __future__ import annotations
@@ -43,11 +45,9 @@ CROSS_CHECK_THRESHOLD = 1e-7
 
 # Order 64 leaves a ~3e-8 route gap in the strongest-interference corner of
 # the study grids (shape 12, beta ~ 3.8); 128 restores < 1e-9 everywhere the
-# cross-check is meant to hold.  It is also the largest order either range
-# check accepts.
+# cross-check is meant to hold.  It is also the largest order
+# gauss_laguerre_half accepts.
 DEFAULT_GL_ORDER = 128
-
-_MIN_GL_ORDER = 8
 
 
 class QuadratureError(RuntimeError):
@@ -104,30 +104,6 @@ class BerResult:
             raise ValueError("route_disagreement must be >= 0")
 
 
-@dataclass(frozen=True)
-class GaussLaguerreRule:
-    """Nodes and weights for the generalized weight y^(-1/2) * exp(-y) on (0, inf)."""
-
-    order: int
-    nodes: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if len(self.nodes) != self.order or len(self.weights) != self.order:
-            raise ValueError("nodes/weights length must equal order")
-        prev = 0.0
-        for y, w in zip(self.nodes, self.weights):
-            if not y > prev:
-                raise ValueError("nodes must be positive and strictly increasing")
-            if not w > 0.0:
-                raise ValueError("weights must be positive")
-            prev = y
-        if abs(math.fsum(self.weights) - SQRT_PI) > 1e-12:
-            raise ValueError("weight sum must equal sqrt(pi) to 1e-12")
-
-
 def upper_incomplete_gamma(a: float, x: float) -> float:
     """Non-regularized upper incomplete gamma Gamma(a) * gammaincc(a, x); non-increasing in x."""
     if not a > 0.0:
@@ -171,17 +147,20 @@ def integrate_semi_infinite(f: Callable[[float], float]) -> QuadratureResult:
 
 
 @lru_cache(maxsize=None)
-def gauss_laguerre_half(order: int) -> GaussLaguerreRule:
-    """Generalized Gauss-Laguerre rule for the weight y^(-1/2) * exp(-y).
+def gauss_laguerre_half(order: int) -> tuple:
+    """(nodes, weights) of the generalized Gauss-Laguerre rule for y^(-1/2) * exp(-y).
 
     Built by scipy.special.roots_genlaguerre (the Golub-Welsch eigenvalue
     method).  Exact for polynomials up to degree 2*order - 1 under the weight.
+    Both arrays are cached and read-only, so no caller can corrupt the rule
+    every later call shares.
     """
     if not 1 <= order <= DEFAULT_GL_ORDER:
         raise ValueError(f"order must be in [1, {DEFAULT_GL_ORDER}], got {order}")
     nodes, weights = special.roots_genlaguerre(order, -0.5)
-    return GaussLaguerreRule(order=order, nodes=tuple(nodes.tolist()),
-                             weights=tuple(weights.tolist()))
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def ber_direct(dist: SirDistribution) -> QuadratureResult:
@@ -210,17 +189,16 @@ def ber_direct(dist: SirDistribution) -> QuadratureResult:
         raise OverflowError(f"{route}: {exc}") from exc
 
 
-def ber_gl(dist: SirDistribution, order: int = DEFAULT_GL_ORDER) -> float:
-    """Average BER from the integrated-by-parts form.
+def ber_gl(dist: SirDistribution) -> float:
+    """Average BER from the integrated-by-parts form, as a float.
 
     d/dy Gamma(1/2, y) = -y**(-1/2) e**(-y) and the SIR distribution function
     vanishes at 0, so the boundary terms drop and the average BER equals
-    sum(w_i * cdf(y_i)) / (2*sqrt(pi)) over the y^(-1/2)e^(-y) rule.
+    sum(w_i * cdf(y_i)) / (2*sqrt(pi)) over the DEFAULT_GL_ORDER-node
+    y^(-1/2)e^(-y) rule of gauss_laguerre_half.
     """
-    if not _MIN_GL_ORDER <= order <= DEFAULT_GL_ORDER:
-        raise ValueError(f"order must be in [{_MIN_GL_ORDER}, {DEFAULT_GL_ORDER}], got {order}")
-    rule = gauss_laguerre_half(order)
-    return float(np.dot(rule.weights, sir_cdf(dist, rule.nodes))) / (2.0 * SQRT_PI)
+    nodes, weights = gauss_laguerre_half(DEFAULT_GL_ORDER)
+    return float(np.dot(weights, sir_cdf(dist, nodes))) / (2.0 * SQRT_PI)
 
 
 def ber(scenario: Scenario | SirDistribution,

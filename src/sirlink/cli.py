@@ -260,7 +260,7 @@ def _grid_points(spec: SweepSpec):
             yield point
 
 
-def _analytic_row(point: dict, spec: SweepSpec, corrupt_beta: float = 1.0) -> SweepRow:
+def _analytic_row(point: dict, corrupt_beta: float = 1.0) -> SweepRow:
     """The analytical BER of one grid point; the law's beta is scaled by corrupt_beta."""
     try:
         dist = sir_distribution(_build_scenario(point))
@@ -274,7 +274,7 @@ def _analytic_row(point: dict, spec: SweepSpec, corrupt_beta: float = 1.0) -> Sw
 
 def run_sweep(spec: SweepSpec) -> list:
     """Evaluate the analytical BER at every grid point of the spec."""
-    return [_analytic_row(point, spec) for point in _grid_points(spec)]
+    return [_analytic_row(point) for point in _grid_points(spec)]
 
 
 def ks_threshold(samples: int) -> float:
@@ -298,7 +298,7 @@ def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     threshold = ks_threshold(spec.samples)
     rows = []
     for index, point in enumerate(_grid_points(spec)):
-        row = _analytic_row(point, spec, corrupt_beta)
+        row = _analytic_row(point, corrupt_beta)
         try:
             estimate, draws = estimate_with_draws(_build_scenario(point), spec.samples,
                                                   derived_seed(spec.seed, index, 0))

@@ -10,7 +10,7 @@ from conftest import REFERENCE_PATH
 
 PUBLIC_NAMES = [
     "BerResult", "CROSS_CHECK_THRESHOLD", "CrossCheckError", "DEFAULT_GL_ORDER",
-    "FadingParams", "GaussLaguerreRule", "InterfererParams", "LinkBudget",
+    "FadingParams", "InterfererParams", "LinkBudget",
     "McEstimate", "QuadratureError", "QuadratureResult",
     "Scenario", "SingularityError", "SirDistribution",
     "ber", "ber_direct", "ber_gl", "conditional_ber", "estimate_ber",
