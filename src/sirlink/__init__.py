@@ -19,7 +19,6 @@ from .ber import (
     ber_gl,
     conditional_ber,
     gauss_laguerre_half,
-    integrate_semi_infinite,
     upper_incomplete_gamma,
 )
 from .channel import (
@@ -49,7 +48,7 @@ __all__ = [
     "McEstimate", "QuadratureError", "QuadratureResult",
     "Scenario", "SingularityError", "SirDistribution",
     "ber", "ber_direct", "ber_gl", "conditional_ber", "estimate_ber",
-    "gauss_laguerre_half", "integrate_semi_infinite",
-    "interference_scale", "ks_statistic", "sample_sir", "sir_cdf",
+    "gauss_laguerre_half", "interference_scale", "ks_statistic",
+    "sample_sir", "sir_cdf",
     "sir_distribution", "sir_pdf", "upper_incomplete_gamma",
 ]

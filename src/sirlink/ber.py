@@ -1,16 +1,16 @@
 """Average bit-error-rate of the BPSK link, by two independent numerical routes.
 
 The direct route integrates the conditional error probability against the
-SIR density with adaptive quadrature to a relative-only tolerance,
-evaluating the density in log space with scalar `math` calls, so deep-quiet
-and high-order laws keep their digits.  The second route integrates by parts
+SIR density's log form (channel.log_pdf_terms, in scalar `math` calls) with
+QUADPACK (scipy quad) to a relative-only tolerance, so deep-quiet and
+high-order laws keep their digits.  The second route integrates by parts
 first, which turns the integral into the SIR distribution function weighted
 by y^(-1/2) e^(-y) - exactly the generalized Gauss-Laguerre weight - so a
 fixed 128-node rule evaluates it as one dot product over scipy's arrays.
 Both run on every top-level evaluation and must agree, otherwise the
 evaluation fails loudly.
 
-The quadrature, its tolerance, the rule (scipy roots_genlaguerre, cached as
+The quadrature tolerance, the rule (scipy roots_genlaguerre, cached as
 read-only arrays) and the paper's Gamma(1/2, .) (scipy gammaincc) live here
 too.  All functions are pure; the rule cache is the only shared state and
 cannot be written, so all are thread-safe.
@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy import integrate, special
 
-from .channel import Scenario, SirDistribution, sir_cdf, sir_distribution
+from .channel import Scenario, SirDistribution, log_pdf_terms, sir_cdf, sir_distribution
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -120,32 +119,6 @@ def conditional_ber(gamma: float) -> float:
     return 0.5 * math.erfc(math.sqrt(gamma))
 
 
-def integrate_semi_infinite(f: Callable[[float], float]) -> QuadratureResult:
-    """Adaptively integrate f over (0, inf) to the relative tolerance DEFAULT_REL_TOL.
-
-    Tolerates an integrable power singularity at the origin up to y^(-1/2):
-    the substitution y = u**2 removes it before the transformed integrand is
-    handed to adaptive Gauss-Kronrod quadrature.  The endpoint itself is
-    never evaluated.
-    """
-
-    def transformed(u: float) -> float:
-        return 2.0 * u * f(u * u)
-
-    out = integrate.quad(transformed, 0.0, math.inf,
-                         epsabs=0.0, epsrel=DEFAULT_REL_TOL,
-                         limit=250, full_output=1)
-    value, abs_err, info = out[0], out[1], out[2]
-    if math.isnan(value):
-        raise QuadratureError("integrand produced NaN", best_estimate=value,
-                              error_estimate=abs_err)
-    if len(out) > 3:
-        raise QuadratureError(f"quadrature did not converge: {out[3]}",
-                              best_estimate=value, error_estimate=abs_err)
-    return QuadratureResult(value=value, abs_error_estimate=abs_err,
-                            evaluations=int(info["neval"]))
-
-
 @lru_cache(maxsize=None)
 def gauss_laguerre_half(order: int) -> tuple:
     """(nodes, weights) of the generalized Gauss-Laguerre rule for y^(-1/2) * exp(-y).
@@ -166,27 +139,38 @@ def gauss_laguerre_half(order: int) -> tuple:
 def ber_direct(dist: SirDistribution) -> QuadratureResult:
     """Average BER by adaptive quadrature of conditional_ber against the SIR density.
 
-    Each node evaluates 0.5*erfc(sqrt(y)) * exp(log pdf(y)), with
-    log pdf(y) = log k + k*log(beta) + (k-1)*log(y) - (k+1)*log1p(beta*y) for
-    k = shape, so neither beta**k nor y**(k-1) overflows or underflows on its
-    own.  The tolerance is integrate_semi_infinite's relative one.
-    A QuadratureError (a NaN integrand included) or a math range error names
-    this route and the law's shape and beta.
+    Each node evaluates 0.5*erfc(sqrt(y)) * exp(log pdf(y)) from log_pdf_terms,
+    so neither beta**k nor y**(k-1) overflows or underflows on its own.
+    QUADPACK integrates over u = sqrt(y) in (0, inf), which removes the shape < 1
+    endpoint singularity, to the relative tolerance DEFAULT_REL_TOL.  A NaN
+    integrand, non-convergence (QUADPACK's message on one line) or a math range
+    error names this route and the law's shape and beta.
     """
     route = f"direct route at shape={dist.shape!r}, beta={dist.beta!r}"
-    k, beta = dist.shape, dist.beta
-    head, rise, fall = math.log(k) + k * math.log(beta), k - 1.0, k + 1.0
+    beta = dist.beta
+    head, rise, fall = log_pdf_terms(dist)
     erfc, exp, log, log1p, sqrt = math.erfc, math.exp, math.log, math.log1p, math.sqrt
 
-    def integrand(y: float) -> float:
-        return 0.5 * erfc(sqrt(y)) * exp(head + rise * log(y) - fall * log1p(beta * y))
+    def integrand(u: float) -> float:
+        y = u * u
+        pdf = exp(head + rise * log(y) - fall * log1p(beta * y))
+        return 2.0 * u * (0.5 * erfc(sqrt(y)) * pdf)
 
     try:
-        return integrate_semi_infinite(integrand)
-    except QuadratureError as exc:
-        raise QuadratureError(f"{route}: {exc}", exc.best_estimate, exc.error_estimate) from exc
+        out = integrate.quad(integrand, 0.0, math.inf,
+                             epsabs=0.0, epsrel=DEFAULT_REL_TOL,
+                             limit=250, full_output=1)
     except OverflowError as exc:
         raise OverflowError(f"{route}: {exc}") from exc
+    value, abs_err, info = out[0], out[1], out[2]
+    if math.isnan(value):
+        raise QuadratureError(f"{route}: integrand produced NaN", value, abs_err)
+    if len(out) > 3:
+        message = " ".join(out[3].split())
+        raise QuadratureError(f"{route}: quadrature did not converge: {message}",
+                              value, abs_err)
+    return QuadratureResult(value=value, abs_error_estimate=abs_err,
+                            evaluations=int(info["neval"]))
 
 
 def ber_gl(dist: SirDistribution) -> float:

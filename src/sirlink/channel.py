@@ -5,8 +5,8 @@ amplitude gamma-distributed), the single co-channel interferer is Rayleigh,
 and the M maximal-ratio-combined branches yield an SIR whose density has the
 two-parameter closed form carried by :class:`SirDistribution`: the only
 density the package evaluates (montecarlo samples the fading laws instead).
-`sir_pdf` and `sir_cdf` take scalars or arrays; the direct BER route
-evaluates the same density in log space, one quadrature node at a time.
+`sir_pdf` and `sir_cdf` take scalars or arrays; the density is written once,
+in log space (`log_pdf_terms`), for `sir_pdf` and the direct BER route.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlogy
 
 
 class SingularityError(ValueError):
@@ -101,6 +102,7 @@ class SirDistribution:
 
     pdf(y) = shape * beta**shape * y**(shape-1) * (1 + beta*y)**-(shape+1)
     cdf(y) = (beta*y / (1 + beta*y))**shape
+    (the pdf is evaluated through its logarithm, see log_pdf_terms)
 
     shape = M*m; beta folds the power ratio, distance ratio, path-loss
     exponent and the two mean fading powers into a single scale.  The mean of
@@ -133,15 +135,21 @@ def sir_distribution(scenario: Scenario) -> SirDistribution:
                            beta=fading.m / fading.sigma * c)
 
 
+def log_pdf_terms(dist: SirDistribution) -> tuple:
+    """(head, rise, fall) with log pdf(y) = head + rise*log(y) - fall*log1p(beta*y)."""
+    k = dist.shape
+    return math.log(k) + k * math.log(dist.beta), k - 1.0, k + 1.0
+
+
 def sir_pdf(dist: SirDistribution, y):
-    """Density of the combined SIR at y >= 0 (y > 0 required when shape < 1)."""
+    """Density of the combined SIR at y >= 0 (y > 0 required when shape < 1), in log space."""
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise ValueError("SIR must be >= 0")
     if dist.shape < 1.0 and np.any(y == 0.0):
         raise SingularityError("pdf diverges at y = 0 for shape < 1; evaluate at y > 0")
-    s, b = dist.shape, dist.beta
-    out = s * b ** s * y ** (s - 1.0) * (1.0 + b * y) ** -(s + 1.0)
+    head, rise, fall = log_pdf_terms(dist)
+    out = np.exp(head + xlogy(rise, y) - fall * np.log1p(dist.beta * y))
     return float(out) if out.ndim == 0 else out
 
 

@@ -321,16 +321,13 @@ def rows_to_csv(rows: list, validation: bool = False) -> str:
 
 
 def _law_on_grid(dist: SirDistribution, grid) -> tuple:
-    """The law's pdf and cdf on the grid; an overflow or a non-finite value names the law."""
-    law = f"SIR law at shape={dist.shape!r}, beta={dist.beta!r}"
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            pdf, cdf = sir_pdf(dist, grid), sir_cdf(dist, grid)
-    except OverflowError as exc:
-        raise OverflowError(f"{law}: {exc}") from exc
+    """The law's pdf and cdf on the grid; a non-finite value names the law."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pdf, cdf = sir_pdf(dist, grid), sir_cdf(dist, grid)
     bad = ~(np.isfinite(pdf) & np.isfinite(cdf))
     if bad.any():
-        raise ArithmeticError(f"{law}: non-finite pdf or cdf at y={grid[bad][0]:.12g}")
+        raise ArithmeticError(f"SIR law at shape={dist.shape!r}, beta={dist.beta!r}: "
+                              f"non-finite pdf or cdf at y={grid[bad][0]:.12g}")
     return pdf, cdf
 
 

@@ -1,12 +1,13 @@
 """Channel-model tests: densities against quadrature oracles, invariants, errors."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import CHANNEL_GRID, FIG2, PDF_ORACLE_POINTS, scen
+from conftest import CHANNEL_GRID, FIG2, PDF_ORACLE_POINTS, closed_form_pdf, scen
 from sirlink import (
     FadingParams,
     InterfererParams,
@@ -153,6 +154,27 @@ class TestSirPdf:
             assert sir_pdf(sir_distribution(scenario), y) == \
                 pytest.approx(verbatim, rel=1e-12)
 
+    def test_matches_mpmath_closed_form(self):
+        # Wherever the true density is a normal double, from shape 0.5 to 5000
+        # and beta 1e-8 to 1e8 (2904 of the 3570 points).  The log density's
+        # terms grow like shape*|log beta| and shape*|log y|, and their
+        # rounding carries into the density, so the bound scales with shape
+        # (worst measured: 8e-15 at shape 0.5, 2.4e-11 at shape 5000).
+        ys = np.geomspace(1e-4, 1e4, 21)
+        checked, misses = 0, []
+        for shape in (0.5, 1.0, 2.3, 4.0, 12.0, 36.0, 100.0, 320.0, 1000.0, 5000.0):
+            for beta in (10.0 ** e for e in range(-8, 9)):
+                values = sir_pdf(SirDistribution(shape=shape, beta=beta), ys)
+                for y, value in zip(ys, values):
+                    expected = float(closed_form_pdf(shape, beta, y))
+                    if not sys.float_info.min <= expected <= sys.float_info.max:
+                        continue
+                    checked += 1
+                    if not abs(value - expected) <= 1e-13 * max(1.0, shape) * expected:
+                        misses.append((shape, beta, float(y), float(value), expected))
+        assert checked == 2904
+        assert misses == []
+
     def test_singularity_raises(self):
         with pytest.raises(SingularityError):
             sir_pdf(SirDistribution(shape=0.5, beta=1.0), 0.0)
@@ -218,8 +240,8 @@ class TestDistributionInvariants:
 
     def test_array_call_matches_scalar_calls(self):
         # `sirlink dist` evaluates its whole y grid in one array call; the
-        # vectorized power may round differently from the scalar one, by a
-        # few ulp at most
+        # vectorized exp, log1p and power may round differently from the
+        # scalar ones, by a few ulp at most
         ys = np.geomspace(1e-6, 1e6, 997)
         for dist in CHANNEL_GRID:
             for law in (sir_pdf, sir_cdf):

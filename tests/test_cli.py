@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, closed_form_pdf, scen
 from sirlink import (
     CrossCheckError,
     SirDistribution,
@@ -19,6 +19,7 @@ from sirlink import (
     ks_statistic,
     montecarlo,
     sample_sir,
+    sir_distribution,
 )
 from sirlink.cli import (
     ConfigError,
@@ -406,23 +407,47 @@ class TestCliProcess:
         # narrow law, so the cross-check refuses the point
         ("point", "--m 40 --M 8 --p1_dbm 10 --p2_dbm 40 --s 100 --t 100 --n 3",
          "BER routes disagree: direct=0.418135280699"),
-        # shape 320: the density overflows a float
-        ("dist", "--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3 --points 3",
-         "numerical error: SIR law at shape=320.0, beta=40.0: "),
         # shape 100 at beta 1004.75: the same GL-route limit as shape 320 above
         ("point", "--m 4 --M 25 --p1_dbm 6 --p2_dbm 30 --s 90 --t 90 --n 3",
          "BER routes disagree: direct=0.266383154551"),
-        # shape 100: the density overflows to NaN at y = 20 (true pdf 2.4757e-4)
-        ("dist", "--m 4 --M 25 --p1_dbm 6 --p2_dbm 30 --s 90 --t 90 --n 3 --points 3",
-         "numerical error: SIR law at shape=100.0, beta=1004.7545726038319: "
-         "non-finite pdf or cdf at y=20"),
-    ], ids=["shape-0.5", "shape-320", "dist-shape-320", "shape-100", "dist-shape-100"])
+        # shape 1e8: QUADPACK reports roundoff; its message is put on one line
+        ("point", "--m 1e8 --M 1 --p1_dbm 0 --p2_dbm 0 --s 1 --t 1 --n 3",
+         "direct route at shape=100000000.0, beta=100000000.0: quadrature did not converge"),
+    ], ids=["shape-0.5", "shape-320", "shape-100", "shape-1e8"])
     def test_numerical_failure_exit_code(self, command, flags, message):
         proc = run_cli(command, *flags.split())
         assert proc.returncode == 2
         assert message in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0] == lines[0].rstrip()
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    # Laws whose density the power form overflowed (shapes 320 and 100) or
+    # underflowed to 0 (beta 1e300, where the true pdf is ~1e-296).  Each
+    # printed pdf is held to the mpmath closed form at the grid's exact y: 12
+    # printed digits and the log form's ~2e-12 at shape 320 stay inside 1e-11.
+    @pytest.mark.parametrize("flags, scenario", [
+        ("--m 40 --M 8 --p1_dbm 10 --p2_dbm 10 --s 100 --t 100 --n 3 --points 3",
+         scen(m=40, M=8, p1=10, p2=10, s=100, t=100, n=3)),
+        ("--m 4 --M 25 --p1_dbm 6 --p2_dbm 30 --s 90 --t 90 --n 3 --points 3",
+         scen(m=4, M=25, p1=6, p2=30, s=90, t=90, n=3)),
+        ("--m 1 --M 1 --p1_dbm 0 --p2_dbm 3000 --s 1 --t 1 --n 3",
+         scen(m=1, M=1, p1=0, p2=3000, s=1, t=1, n=3)),
+    ], ids=["shape-320", "shape-100", "beta-1e300"])
+    def test_dist_matches_closed_form(self, flags, scenario):
+        proc = run_cli("dist", *flags.split())
+        assert proc.returncode == 0, proc.stderr
+        dist = sir_distribution(scenario)
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        grid = np.geomspace(0.01, 20.0, len(rows))  # dist's default --ymin, --ymax
+        misses = []
+        for y, (printed_y, printed_pdf, _) in zip(grid, rows):
+            assert printed_y == f"{y:.12g}"
+            expected = float(closed_form_pdf(dist.shape, dist.beta, y))
+            if not abs(float(printed_pdf) - expected) <= 1e-11 * expected:
+                misses.append((y, printed_pdf, expected))
+        assert misses == []
 
     # Deep-quiet and high-order points; each reference is the law's BER from
     # scripts/generate_reference.py's reference_ber, rounded once to a double.

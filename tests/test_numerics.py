@@ -1,8 +1,10 @@
 """Tests of the numerics under `sirlink.ber`, each against an independent oracle.
 
-Covers the paper's Gamma(1/2, .) (`upper_incomplete_gamma`), the adaptive
-semi-infinite quadrature of the direct route and the Gauss-Laguerre rule
-(`gauss_laguerre_half`, scipy's read-only node and weight arrays).
+Covers the paper's Gamma(1/2, .) (`upper_incomplete_gamma`) and the
+Gauss-Laguerre rule (`gauss_laguerre_half`, scipy's read-only node and weight
+arrays).  The direct route's quadrature is scipy's `quad` called inside
+`ber_direct`; tests/test_ber.py holds it to an mpmath table and tests its
+failure paths.
 """
 
 import math
@@ -10,12 +12,7 @@ from math import erfc
 
 import pytest
 
-from sirlink import (
-    QuadratureError,
-    gauss_laguerre_half,
-    integrate_semi_infinite,
-    upper_incomplete_gamma,
-)
+from sirlink import gauss_laguerre_half, upper_incomplete_gamma
 from sirlink.ber import SQRT_PI
 
 
@@ -73,44 +70,6 @@ class TestUpperIncompleteGamma:
             upper_incomplete_gamma(-2.0, 1.0)
         with pytest.raises(ValueError):
             upper_incomplete_gamma(1.0, -0.1)
-
-
-class TestIntegrateSemiInfinite:
-    def test_exponential(self):
-        result = integrate_semi_infinite(lambda y: math.exp(-y))
-        assert result.value == pytest.approx(1.0, abs=1e-10)
-        assert result.abs_error_estimate >= 0.0
-        assert result.evaluations >= 1
-
-    def test_integrable_singularity(self):
-        result = integrate_semi_infinite(lambda y: math.exp(-y) / math.sqrt(y))
-        assert result.value == pytest.approx(SQRT_PI, rel=1e-10)
-
-    def test_gamma_integrals(self):
-        for a in (0.5, 1.0, 3.7):
-            result = integrate_semi_infinite(lambda y, a=a: y ** (a - 1.0) * math.exp(-y))
-            expected = math.gamma(a)
-            assert abs(result.value - expected) <= max(1e-12, 1e-10 * expected)
-
-    def test_matches_gauss_laguerre_route(self):
-        # conditional error probability under the shape=1, beta=1 law, both ways
-        from sirlink import SirDistribution, ber_gl
-
-        def integrand(y):
-            return upper_incomplete_gamma(0.5, y) / (2.0 * SQRT_PI) * (1.0 + y) ** -2.0
-
-        direct = integrate_semi_infinite(integrand)
-        alt = ber_gl(SirDistribution(shape=1.0, beta=1.0))
-        assert direct.value == pytest.approx(alt, abs=1e-8)
-
-    def test_nan_propagates_as_error(self):
-        with pytest.raises(QuadratureError):
-            integrate_semi_infinite(lambda y: math.nan)
-
-    def test_divergent_integrand_reports_best_estimate(self):
-        with pytest.raises(QuadratureError) as info:
-            integrate_semi_infinite(lambda y: 1.0 / (y + 1e-12))
-        assert math.isfinite(info.value.best_estimate)
 
 
 class TestGaussLaguerreHalf:

@@ -14,8 +14,8 @@ PUBLIC_NAMES = [
     "McEstimate", "QuadratureError", "QuadratureResult",
     "Scenario", "SingularityError", "SirDistribution",
     "ber", "ber_direct", "ber_gl", "conditional_ber", "estimate_ber",
-    "gauss_laguerre_half", "integrate_semi_infinite",
-    "interference_scale", "ks_statistic", "sample_sir", "sir_cdf",
+    "gauss_laguerre_half", "interference_scale", "ks_statistic",
+    "sample_sir", "sir_cdf",
     "sir_distribution", "sir_pdf", "upper_incomplete_gamma",
 ]
 SCRIPTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
