@@ -135,10 +135,12 @@ def sir_distribution(scenario: Scenario) -> SirDistribution:
                            beta=fading.m / fading.sigma * c)
 
 
-def log_pdf_terms(dist: SirDistribution) -> tuple:
-    """(head, rise, fall) with log pdf(y) = head + rise*log(y) - fall*log1p(beta*y)."""
-    k = dist.shape
-    return math.log(k) + k * math.log(dist.beta), k - 1.0, k + 1.0
+def log_pdf_terms(shape, beta) -> tuple:
+    """(head, rise, fall) with log pdf(y) = head + rise*log(y) - fall*log1p(beta*y).
+
+    shape and beta are floats or arrays; xlogy(1, .) is libm's log, bit for bit.
+    """
+    return xlogy(1.0, shape) + xlogy(shape, beta), shape - 1.0, shape + 1.0
 
 
 def sir_pdf(dist: SirDistribution, y):
@@ -148,7 +150,7 @@ def sir_pdf(dist: SirDistribution, y):
         raise ValueError("SIR must be >= 0")
     if dist.shape < 1.0 and np.any(y == 0.0):
         raise SingularityError("pdf diverges at y = 0 for shape < 1; evaluate at y > 0")
-    head, rise, fall = log_pdf_terms(dist)
+    head, rise, fall = log_pdf_terms(dist.shape, dist.beta)
     out = np.exp(head + xlogy(rise, y) - fall * np.log1p(dist.beta * y))
     return float(out) if out.ndim == 0 else out
 
@@ -158,6 +160,7 @@ def sir_cdf(dist: SirDistribution, y):
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise ValueError("SIR must be >= 0")
-    t = dist.beta * y
+    # clamped so that t/(1+t) is 1, not inf/inf, once beta*y overflows
+    t = np.minimum(dist.beta * y, np.finfo(float).max)
     out = (t / (1.0 + t)) ** dist.shape
     return float(out) if out.ndim == 0 else out

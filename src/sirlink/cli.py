@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ber import CrossCheckError, QuadratureError, ber
+from .ber import ber, ber_batch  # noqa: F401  (perfbench/test_harness.py reads cli.ber)
 from .channel import (
     FadingParams,
     InterfererParams,
@@ -260,21 +260,40 @@ def _grid_points(spec: SweepSpec):
             yield point
 
 
-def _analytic_row(point: dict, corrupt_beta: float = 1.0) -> SweepRow:
-    """The analytical BER of one grid point; the law's beta is scaled by corrupt_beta."""
-    try:
-        dist = sir_distribution(_build_scenario(point))
-        dist = SirDistribution(shape=dist.shape, beta=dist.beta * corrupt_beta)
-        result = ber(dist)
-    except (CrossCheckError, QuadratureError, ValueError, ArithmeticError) as exc:
-        raise SweepPointError(point, exc) from exc
-    return SweepRow(**point, shape=dist.shape, beta=dist.beta,
-                    ber=result.ber, quad_err=result.quad_error)
+def _analytic_rows(points: list, corrupt_beta: float = 1.0) -> list:
+    """Per grid point in order, its analytic SweepRow or the SweepPointError it raised.
+
+    Every law is built first and all are evaluated in one ber_batch call; the
+    list ends at the first point whose law cannot be built, so a caller that
+    raises the first error still fails at the grid's first failing point.
+    Each law's beta is scaled by corrupt_beta.
+    """
+    laws, failed = [], []
+    for point in points:
+        try:
+            dist = sir_distribution(_build_scenario(point))
+            laws.append(SirDistribution(shape=dist.shape, beta=dist.beta * corrupt_beta))
+        except (ValueError, ArithmeticError) as exc:
+            failed.append(SweepPointError(point, exc))
+            break
+    rows = [SweepPointError(point, result) if isinstance(result, Exception) else
+            SweepRow(**point, shape=dist.shape, beta=dist.beta,
+                     ber=result.ber, quad_err=result.quad_error)
+            for point, dist, result in zip(points, laws, ber_batch(laws))]
+    return rows + failed
+
+
+def _raise_failure(row) -> None:
+    if isinstance(row, SweepPointError):
+        raise row from row.cause
 
 
 def run_sweep(spec: SweepSpec) -> list:
     """Evaluate the analytical BER at every grid point of the spec."""
-    return [_analytic_row(point) for point in _grid_points(spec)]
+    rows = _analytic_rows(list(_grid_points(spec)))
+    for row in rows:
+        _raise_failure(row)
+    return rows
 
 
 def ks_threshold(samples: int) -> float:
@@ -296,9 +315,10 @@ def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     if spec.samples < 10 ** 4:
         raise ValueError(f"validation needs at least 1e4 samples, got {spec.samples}")
     threshold = ks_threshold(spec.samples)
+    points = list(_grid_points(spec))
     rows = []
-    for index, point in enumerate(_grid_points(spec)):
-        row = _analytic_row(point, corrupt_beta)
+    for index, (point, row) in enumerate(zip(points, _analytic_rows(points, corrupt_beta))):
+        _raise_failure(row)
         try:
             estimate, draws = estimate_with_draws(_build_scenario(point), spec.samples,
                                                   derived_seed(spec.seed, index, 0))

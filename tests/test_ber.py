@@ -2,9 +2,11 @@
 
 import csv
 import math
+import random
 
+import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from conftest import BER_GRID, FIG2, FIG3, FIG4, REFERENCE_PATH, scen
 from sirlink import (
@@ -22,7 +24,7 @@ from sirlink import (
     sir_distribution,
     sir_pdf,
 )
-from sirlink.ber import SQRT_PI
+from sirlink.ber import SQRT_PI, ber_batch
 
 
 class TestConditionalBer:
@@ -93,32 +95,86 @@ class TestBerDirect:
                 misses.append((shape, beta, value, expected))
         assert misses == []
 
+    def test_bound_covers_reference_table(self):
+        # the relative bound behind quad_err holds on every row of the table
+        with open(REFERENCE_PATH, encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        misses = []
+        for row in rows:
+            shape, beta, expected = (float(row[key]) for key in ("shape", "beta", "ber"))
+            result = ber_direct(SirDistribution(shape=shape, beta=beta))
+            if not abs(result.value - expected) <= result.abs_error_estimate:
+                misses.append((shape, beta, result.value, expected, result.abs_error_estimate))
+        assert misses == []
+
     def test_quadrature_failure_names_route(self):
-        # QUADPACK detects roundoff on this extremely narrow law and stops
-        # with a finite best estimate; its multi-line message is put on one line
+        # log BER is e^-2/2 here, but head = log k + k log beta is ~1.8e9, so
+        # double rounding alone leaves ~1e-7 relative: the bound says so
         with pytest.raises(QuadratureError) as info:
             ber_direct(SirDistribution(shape=1e8, beta=1e8))
-        assert str(info.value) == (
-            "direct route at shape=100000000.0, beta=100000000.0: quadrature did not "
-            "converge: The occurrence of roundoff error is detected, which prevents the "
-            "requested tolerance from being achieved. The error may be underestimated.")
-        assert math.isfinite(info.value.best_estimate)
-        assert math.isfinite(info.value.error_estimate)
+        message = str(info.value)
+        assert message.startswith("direct route at shape=100000000.0, beta=100000000.0: "
+                                  "quadrature did not converge: relative error bound ")
+        assert message.endswith(" exceeds the tolerance 1e-10")
+        assert "\n" not in message
+        err = info.value
+        assert abs(err.best_estimate - math.exp(-2.0) / 2.0) <= err.error_estimate
 
     def test_nan_integrand_names_route(self, monkeypatch):
-        monkeypatch.setattr(math, "exp", lambda x: math.nan)
+        monkeypatch.setattr(special, "log_ndtr", lambda x: np.full_like(x, math.nan))
         with pytest.raises(QuadratureError) as info:
             ber_direct(SirDistribution(shape=2.0, beta=0.25))
         assert str(info.value) == "direct route at shape=2.0, beta=0.25: integrand produced NaN"
 
-    def test_range_error_names_route(self, monkeypatch):
-        def overflow(x):
-            raise OverflowError("math range error")
+    def test_underflowing_ber_is_zero(self):
+        # log BER ~ -9e5: double rounding of log g alone exceeds 1e-10
+        # relative, but a BER this far below the smallest double is 0.0
+        result = ber(SirDistribution(shape=2430.72, beta=5.73e-160))
+        assert (result.ber, result.quad_error) == (0.0, 0.0)
 
-        monkeypatch.setattr(math, "exp", overflow)
-        with pytest.raises(OverflowError) as info:
-            ber_direct(SirDistribution(shape=2.0, beta=0.25))
-        assert str(info.value) == "direct route at shape=2.0, beta=0.25: math range error"
+    def test_strongest_interference_stays_at_most_half(self):
+        # beta 1e300: the rule's sum lands a few ulps above 1/2, which the BER
+        # can never exceed, so the value is clipped there
+        dist = SirDistribution(shape=1.0, beta=1e300)
+        result = ber_direct(dist)
+        assert result.value == 0.5
+        assert ber(dist).ber == 0.5
+
+
+class TestBerBatch:
+    LAWS = tuple(SirDistribution(shape=k, beta=b) for k, b in (
+        (6.0, 0.2), (0.5, 1.0), (2.3, 1e-4), (36.0, 40.0), (1.0, 1e300), (320.0, 0.01),
+        (12.0, 3.8), (4.0, 0.00807), (100.0, 1e3), (1e8, 1e8), (24.0, 0.305)))
+
+    @staticmethod
+    def _bits(outcome):
+        if isinstance(outcome, Exception):
+            return type(outcome), str(outcome)
+        return outcome.ber.hex(), outcome.quad_error.hex(), outcome.route_disagreement.hex()
+
+    def test_law_bits_do_not_depend_on_the_batch(self):
+        # every law of shuffled and sub-setted grids gives the bits of its
+        # one-law call, failures included
+        alone = {dist: self._bits(ber_batch([dist])[0]) for dist in self.LAWS}
+        rng = random.Random(5)
+        for size in (len(self.LAWS), 7, 3, 2):
+            for _ in range(3):
+                laws = rng.sample(self.LAWS, size)
+                assert [self._bits(o) for o in ber_batch(laws)] == [alone[d] for d in laws]
+        for dist in self.LAWS:
+            try:
+                assert self._bits(ber(dist)) == alone[dist]
+            except (QuadratureError, CrossCheckError) as exc:
+                assert self._bits(exc) == alone[dist]
+
+    def test_outcomes_follow_input_order(self):
+        outcomes = ber_batch([sir_distribution(FIG2),
+                              SirDistribution(shape=0.5, beta=1.0),
+                              SirDistribution(shape=1e8, beta=1e8)])
+        assert outcomes[0] == ber(FIG2)
+        assert isinstance(outcomes[1], CrossCheckError)
+        assert isinstance(outcomes[2], QuadratureError)
+        assert ber_batch([]) == []
 
 
 class TestBerGl:

@@ -207,6 +207,12 @@ class TestSirCdf:
             assert np.all(cdfs >= 0.0) and np.all(cdfs <= 1.0)
             assert np.all(np.diff(cdfs) >= 0.0)
 
+    def test_one_where_beta_y_overflows(self):
+        # beta*y is inf from y ~ 1.8e8 on; the cdf is 1 there, not inf/inf
+        dist = SirDistribution(shape=1.0, beta=1e300)
+        with np.errstate(over="ignore", invalid="raise"):
+            assert sir_cdf(dist, np.array([1.0, 1e9, 1e300])).tolist() == [1.0, 1.0, 1.0]
+
 
 class TestDistributionInvariants:
     def test_normalization(self):

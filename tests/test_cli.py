@@ -97,10 +97,10 @@ n = 3.5
 # the single-threaded block loop: four blocks per point, the last one short.
 FIG3_VALIDATE_200003 = """\
 m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err,mc_mean,mc_std_error,ks_stat,pass
-2,1,1,1,15,6,90,90,3,2,0.251785082359,0.0103795784026,1.87446714678e-13,0.0104464331059,7.29353521855e-05,0.00108544370988,1
-2,2,1,1,15,6,90,90,3,4,0.251785082359,0.00109323449706,9.95249850758e-15,0.00109865993375,1.51437495469e-05,0.0015462389839,1
-2,3,1,1,15,6,90,90,3,6,0.251785082359,0.000188460197724,5.94784843717e-16,0.000186511923749,4.07425102331e-06,0.00235027798181,1
-2,4,1,1,15,6,90,90,3,8,0.251785082359,4.23973991199e-05,1.50290230105e-15,4.41224830965e-05,1.58211033536e-06,0.00195823598266,1
+2,1,1,1,15,6,90,90,3,2,0.251785082359,0.0103795784026,6.10574126264e-16,0.0104464331059,7.29353521855e-05,0.00108544370988,1
+2,2,1,1,15,6,90,90,3,4,0.251785082359,0.00109323449706,4.21000210611e-17,0.00109865993375,1.51437495469e-05,0.0015462389839,1
+2,3,1,1,15,6,90,90,3,6,0.251785082359,0.000188460197724,6.77579848311e-18,0.000186511923749,4.07425102331e-06,0.00235027798181,1
+2,4,1,1,15,6,90,90,3,8,0.251785082359,4.23973991199e-05,1.58186919786e-18,4.41224830965e-05,1.58211033536e-06,0.00195823598266,1
 """
 
 
@@ -109,29 +109,29 @@ m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err,mc_mean,mc_std_error,k
 SWEEP_FROZEN = {
     "fig2_sweep.ini": """\
 m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err
-3,2,1,1,17,10,60,60,3.5,6,0.598578694491,0.0021314717046,1.71384059133e-13
-3,2,1,1,17,10,70,60,3.5,6,1.02667980259,0.00684057612661,5.77357778501e-13
-3,2,1,1,17,10,80,60,3.5,6,1.63835055595,0.0156154626257,1.5921474272e-14
-3,2,1,1,17,10,90,60,3.5,6,2.47423337843,0.0285924510641,7.25464965723e-15
-3,2,1,1,17,10,100,60,3.5,6,3.577600795,0.04512936123,3.19769124937e-12
-3,2,1,1,17,10,60,90,3.5,6,0.144811098509,2.70551584463e-05,3.01543365842e-16
-3,2,1,1,17,10,70,90,3.5,6,0.248379421785,0.000180340391282,5.63688766696e-16
-3,2,1,1,17,10,80,90,3.5,6,0.396357815494,0.00073516474146,3.00852551129e-15
-3,2,1,1,17,10,90,90,3.5,6,0.598578694491,0.0021314717046,1.71384059133e-13
-3,2,1,1,17,10,100,90,3.5,6,0.865510760604,0.00485492250618,4.39151621427e-13
-3,2,1,1,17,10,60,120,3.5,6,0.0529073817435,3.64216160875e-07,6.93085525331e-18
-3,2,1,1,17,10,70,120,3.5,6,0.090746531315,4.12542468573e-06,1.58053399917e-16
-3,2,1,1,17,10,80,120,3.5,6,0.144811098509,2.70551584463e-05,3.01543365842e-16
-3,2,1,1,17,10,90,120,3.5,6,0.218693400016,0.000118402987064,6.07091676281e-16
-3,2,1,1,17,10,100,120,3.5,6,0.316218222815,0.000382991767069,1.76834228523e-15
+3,2,1,1,17,10,60,60,3.5,6,0.598578694491,0.0021314717046,6.48036017297e-17
+3,2,1,1,17,10,70,60,3.5,6,1.02667980259,0.00684057612661,2.07228504719e-16
+3,2,1,1,17,10,80,60,3.5,6,1.63835055595,0.0156154626257,4.89224882506e-16
+3,2,1,1,17,10,90,60,3.5,6,2.47423337843,0.0285924510641,9.348661705e-16
+3,2,1,1,17,10,100,60,3.5,6,3.577600795,0.04512936123,1.59462335268e-15
+3,2,1,1,17,10,60,90,3.5,6,0.144811098509,2.70551584463e-05,1.07311518276e-18
+3,2,1,1,17,10,70,90,3.5,6,0.248379421785,0.000180340391282,6.45015563998e-18
+3,2,1,1,17,10,80,90,3.5,6,0.396357815494,0.00073516474146,2.43058752183e-17
+3,2,1,1,17,10,90,90,3.5,6,0.598578694491,0.0021314717046,6.48036017297e-17
+3,2,1,1,17,10,100,90,3.5,6,0.865510760604,0.00485492250618,1.45729817193e-16
+3,2,1,1,17,10,60,120,3.5,6,0.0529073817435,3.64216160875e-07,1.6590861143e-20
+3,2,1,1,17,10,70,120,3.5,6,0.090746531315,4.12542468573e-06,1.74409133843e-19
+3,2,1,1,17,10,80,120,3.5,6,0.144811098509,2.70551584463e-05,1.07311518276e-18
+3,2,1,1,17,10,90,120,3.5,6,0.218693400016,0.000118402987064,4.36387437714e-18
+3,2,1,1,17,10,100,120,3.5,6,0.316218222815,0.000382991767069,1.29639489412e-17
 """,
     "fig4_sweep.ini": """\
 m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err
-4,3,1,1,15,0,100,80,2.9,12,0.241601167743,2.77238238931e-06,2.85009974313e-17
-4,3,1,1,15,3,100,80,2.9,12,0.48205770525,6.67821915155e-05,6.3598162869e-15
-4,3,1,1,15,6,100,80,2.9,12,0.961831572926,0.000749890630772,6.53384511259e-14
-4,3,1,1,15,9,100,80,2.9,12,1.91910629081,0.0045444986311,5.99254917499e-14
-4,3,1,1,15,12,100,80,2.9,12,3.82912046046,0.0170591947116,2.16298123077e-14
+4,3,1,1,15,0,100,80,2.9,12,0.241601167743,2.77238238931e-06,1.18249376838e-19
+4,3,1,1,15,3,100,80,2.9,12,0.48205770525,6.67821915155e-05,2.32720045798e-18
+4,3,1,1,15,6,100,80,2.9,12,0.961831572926,0.000749890630772,2.15270628802e-17
+4,3,1,1,15,9,100,80,2.9,12,1.91910629081,0.0045444986311,1.31877480585e-16
+4,3,1,1,15,12,100,80,2.9,12,3.82912046046,0.0170591947116,5.33556237725e-16
 """,
 }
 
@@ -226,6 +226,30 @@ class TestRunSweep:
             run_sweep(parse_config(bad))
         assert info.value.point["m"] == 0.3
         assert isinstance(info.value.cause, ConfigError)
+
+    def test_first_failing_point_wins(self, capsys):
+        # s = 1 fails the cross-check and s = inf cannot be built; every law
+        # is evaluated in one batch, but the grid still fails at s = 1
+        argv = ["sweep", "--m", "0.5", "--M", "1", "--p1_dbm", "0", "--p2_dbm", "10",
+                "--s", "1", "--t", "1", "--n", "3", "--axis", "s", "--values", "1, inf"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: evaluation failed at grid point {'m': 0.5, 'M': 1, "
+                              "'sigma': 1.0, 'rho': 1.0, 'p1_dbm': 0.0, 'p2_dbm': 10.0, "
+                              "'s': 1.0, 't': 1.0, 'n': 3.0}: BER routes disagree: ")
+        # and where the law that cannot be built comes first, it wins
+        argv[argv.index("--axis") + 1:] = ["m", "--values", "0.3, 0.5"]
+        assert main(argv) == 1
+        assert "m must be >= 0.5" in capsys.readouterr().err
+
+    def test_point_prints_its_sweep_row(self, capsys):
+        # a law's bits do not depend on the grid it is evaluated in
+        config = os.path.join(CONFIG_DIR, "fig4_sweep.ini")
+        assert main(["sweep", "--config", config]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        for value, row in zip((0, 3, 6, 9, 12), rows):
+            assert main(["point", "--config", config, "--p2_dbm", str(value)]) == 0
+            assert capsys.readouterr().out.splitlines() == [header, row]
 
 
 class TestValidate:
@@ -410,7 +434,7 @@ class TestCliProcess:
         # shape 100 at beta 1004.75: the same GL-route limit as shape 320 above
         ("point", "--m 4 --M 25 --p1_dbm 6 --p2_dbm 30 --s 90 --t 90 --n 3",
          "BER routes disagree: direct=0.266383154551"),
-        # shape 1e8: QUADPACK reports roundoff; its message is put on one line
+        # shape 1e8: rounding in log space alone exceeds the tolerance
         ("point", "--m 1e8 --M 1 --p1_dbm 0 --p2_dbm 0 --s 1 --t 1 --n 3",
          "direct route at shape=100000000.0, beta=100000000.0: quadrature did not converge"),
     ], ids=["shape-0.5", "shape-320", "shape-100", "shape-1e8"])
@@ -448,6 +472,20 @@ class TestCliProcess:
             if not abs(float(printed_pdf) - expected) <= 1e-11 * expected:
                 misses.append((y, printed_pdf, expected))
         assert misses == []
+
+    def test_point_at_strongest_interference(self):
+        # beta 1e300: the BER is 1/2 to the last bit
+        proc = run_cli("point", *"--m 1 --M 1 --p1_dbm 0 --p2_dbm 3000 --s 1 --t 1 --n 3".split())
+        assert proc.returncode == 0, proc.stderr
+        header, row = proc.stdout.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["ber"] == "0.5"
+
+    def test_dist_where_beta_y_overflows(self):
+        # beta 1e300: beta*y overflows at y >= ~1.8e8, where the cdf is 1
+        proc = run_cli("dist", *("--m 1 --M 1 --p1_dbm 0 --p2_dbm 3000 --s 1 --t 1 --n 3 "
+                                 "--ymin 1 --ymax 1e9 --points 3").split())
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split(",")[2] for line in proc.stdout.splitlines()[1:]] == ["1"] * 3
 
     # Deep-quiet and high-order points; each reference is the law's BER from
     # scripts/generate_reference.py's reference_ber, rounded once to a double.

@@ -2,9 +2,9 @@
 
 Covers the paper's Gamma(1/2, .) (`upper_incomplete_gamma`) and the
 Gauss-Laguerre rule (`gauss_laguerre_half`, scipy's read-only node and weight
-arrays).  The direct route's quadrature is scipy's `quad` called inside
-`ber_direct`; tests/test_ber.py holds it to an mpmath table and tests its
-failure paths.
+arrays).  The direct route's trapezoid rule runs inside `ber_direct` and
+`ber_batch`; tests/test_ber.py holds it to an mpmath table and tests its
+error bound and failure paths.
 """
 
 import math

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import subprocess
 import sys
 
 import sirlink
@@ -49,3 +50,14 @@ def test_generate_reference_imports():
     spec.loader.exec_module(script)
     assert os.path.samefile(script.REFERENCE_PATH, REFERENCE_PATH)
     assert callable(script.main)
+
+
+def test_import_loads_no_quadpack():
+    # scipy.integrate costs ~0.24 s of start-up and ~26 MB of memory; no
+    # route needs it, so a fresh `import sirlink` must not load it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, sirlink; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "[]\n"
