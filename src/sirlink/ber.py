@@ -1,13 +1,13 @@
 """Average bit-error-rate of the BPSK link, by two independent numerical routes.
 
 The direct route integrates the conditional error probability against the
-SIR density's log form (channel.log_pdf_terms) in x = log y, where the
-integrand is smooth and log-concave, so a plain trapezoid rule converges
-geometrically (Trefethen & Weideman, SIAM Review 2014).  It runs as a few
-numpy calls over every law of a grid at once (`ber_batch`) and carries an
-error bound relative to the BER, so deep-quiet and high-order laws keep their
-digits.  The second route integrates by parts first, which turns the integral
-into the SIR distribution function weighted by y^(-1/2) e^(-y) - exactly the
+SIR density, both in log form, over x = log y, where the integrand is smooth
+and log-concave, so a plain trapezoid rule converges geometrically
+(Trefethen & Weideman, SIAM Review 2014).  It runs as a few numpy calls over
+every law of a grid at once (`ber_batch`) and carries an error bound
+relative to the BER, so deep-quiet and high-order laws keep their digits.
+The second route integrates by parts first, which turns the integral into
+the SIR distribution function weighted by y^(-1/2) e^(-y) - exactly the
 generalized Gauss-Laguerre weight - so a fixed 128-node rule evaluates it as
 one dot product over scipy's arrays.  Both run on every top-level evaluation
 and must agree, otherwise the evaluation fails loudly.
@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .channel import Scenario, SirDistribution, log_pdf_terms, sir_cdf, sir_distribution
+from .channel import Scenario, SirDistribution, sir_cdf, sir_distribution
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -37,11 +37,11 @@ SQRT_PI = math.sqrt(math.pi)
 # dominates every cross-validation.
 DEFAULT_REL_TOL = 1e-10
 
-# Absolute dual-route agreement required by ber(); disagreement beyond this
-# signals a route defect for shape >= 1 and moderate beta.  The Gauss-Laguerre
-# route cannot resolve the y**(shape-1) endpoint kink when shape < 1, nor
-# structure below its smallest node when beta is extreme (~1e9); use
-# ber_direct or a relaxed threshold there.
+# Absolute dual-route agreement required by ber() and ber_batch();
+# disagreement beyond this signals a route defect for shape >= 1 and moderate
+# beta.  The Gauss-Laguerre route cannot resolve the y**(shape-1) endpoint
+# kink when shape < 1, nor structure below its smallest node when beta is
+# large; ber_direct, with its own error bound, is the route there.
 CROSS_CHECK_THRESHOLD = 1e-7
 
 # Order 64 leaves a ~3e-8 route gap in the strongest-interference corner of
@@ -159,24 +159,27 @@ def _log(x):
     return special.xlogy(1.0, x)  # libm's log, for the same reason as _exp
 
 
-def _log_g(x, shape, log_beta, head):
+def _log_g(x, shape, log_beta, log_k):
     """log g(x), with g(x) = erfc(e^(x/2))/2 * y*pdf(y) at y = e^x.
 
-    log(y*pdf(y)) = head + shape*x - (shape+1)*log1p(beta*y), and
-    log1p(beta*y) is taken as -log_expit(-(x + log beta)) so beta*y never
-    overflows.
+    With u = x + log beta = log(beta*y),
+    log(y*pdf(y)) = log k + k*u - (k+1)*log1p(e^u) = log k + (k+1)*log_expit(u) - u.
+    Each of these terms stays near the size of log g itself, however large k
+    or |log beta|, so their rounding does not cancel down to log BER; and
+    e^u is never formed, so beta*y never overflows.
     """
-    return (special.log_ndtr(-_SQRT2 * _exp(0.5 * x)) + head + shape * x
-            + (shape + 1.0) * special.log_expit(-(x + log_beta)))
+    u = x + log_beta
+    return (special.log_ndtr(-_SQRT2 * _exp(0.5 * x)) + log_k
+            + (shape + 1.0) * special.log_expit(u) - u)
 
 
 def _slope(x, shape, log_beta):
-    """First and second derivative of log g in x."""
+    """First and second derivative of log g in x, term by term from _log_g, so neither cancels."""
     z = _exp(0.5 * x)
     zr = z / (SQRT_PI * special.erfcx(z))  # z e^(-z^2) / (sqrt(pi) erfc(z))
     s, rest = special.expit(x + log_beta), special.expit(-(x + log_beta))
     fall = shape + 1.0
-    return shape - zr - fall * s, -zr * (0.5 + zr - z * z) - fall * s * rest
+    return fall * rest - 1.0 - zr, -zr * (0.5 + zr - z * z) - fall * s * rest
 
 
 def _peak(shape, beta, log_beta):
@@ -207,7 +210,7 @@ def _peak(shape, beta, log_beta):
     return x, np.where(moving, np.nan, curvature)
 
 
-def _edges(peak, log_g_peak, width, shape, log_beta, head):
+def _edges(peak, log_g_peak, width, shape, log_beta, log_k):
     """Window edges where log g lies at least _FALL below its peak, and the tails.
 
     Returns (left, right, tail): tail bounds the integral of g beyond both
@@ -219,11 +222,11 @@ def _edges(peak, log_g_peak, width, shape, log_beta, head):
     beyond the edge g is at most exp(level + slope*distance).
     """
     n = peak.size
-    shape, log_beta, head, peak, log_g_peak = (np.concatenate([a, a]) for a in
-                                               (shape, log_beta, head, peak, log_g_peak))
+    shape, log_beta, log_k, peak, log_g_peak = (np.concatenate([a, a]) for a in
+                                                (shape, log_beta, log_k, peak, log_g_peak))
     side = np.repeat([-1.0, 1.0], n)
     guess = peak + side * math.sqrt(2.0 * _FALL) * np.concatenate([width, width])
-    log_g = _log_g(guess, shape, log_beta, head)
+    log_g = _log_g(guess, shape, log_beta, log_k)
     slope = _slope(guess, shape, log_beta)[0]
     level = log_g_peak - _FALL
     edge = np.where(log_g > level, guess + (level - log_g) / slope, guess)
@@ -261,12 +264,11 @@ def _direct(shape, beta):
     Every step is elementwise or a per-law sum (np.add.reduceat), so no law's
     bits depend on the others in the batch.
     """
-    head = log_pdf_terms(shape, beta)[0]
-    log_beta = _log(beta)
+    log_k, log_beta = _log(shape), _log(beta)
     peak, curvature = _peak(shape, beta, log_beta)
     width = 1.0 / np.sqrt(-curvature)
-    log_g_peak = _log_g(peak, shape, log_beta, head)
-    left, right, tail = _edges(peak, log_g_peak, width, shape, log_beta, head)
+    log_g_peak = _log_g(peak, shape, log_beta, log_k)
+    left, right, tail = _edges(peak, log_g_peak, width, shape, log_beta, log_k)
     step = np.minimum(_MAX_STEP, 0.5 * width)
     below, above = np.ceil((peak - left) / step), np.ceil((right - peak) / step)
     found = np.isfinite(below + above + tail)
@@ -278,7 +280,7 @@ def _direct(shape, beta):
     mid, mid_j, mid_start = _ragged(below + above)
     law = np.concatenate([coarse, mid])
     offset = np.concatenate([coarse_j - below[coarse], mid_j - below[mid] + 0.5])
-    g = _exp(_log_g(peak[law] + offset * step[law], shape[law], log_beta[law], head[law])
+    g = _exp(_log_g(peak[law] + offset * step[law], shape[law], log_beta[law], log_k[law])
              - log_g_peak[law])
     coarse_sum = np.add.reduceat(g[:coarse.size], coarse_start)
     mid_sum = np.add.reduceat(g[coarse.size:], mid_start)
@@ -286,7 +288,9 @@ def _direct(shape, beta):
     total = coarse_sum + mid_sum
     tails = tail / (0.5 * step * total)
     nodes = 2 * (below + above) + 1
-    rounding = _EPS * (2.0 * (np.abs(head) + np.abs(shape * peak) + np.abs(log_g_peak)) + nodes)
+    u = peak + log_beta
+    terms = np.abs(log_k) + np.abs((shape + 1.0) * special.log_expit(u)) + np.abs(u)
+    rounding = _EPS * (2.0 * (terms + np.abs(log_g_peak)) + nodes)
     bound = np.where(found, np.abs(coarse_sum - mid_sum) / total + tails + rounding, np.inf)
     # the BER is at most 1/2, so clipping there only moves a value towards it
     log_ber = np.minimum(log_g_peak + _log(0.5 * step * total), -math.log(2.0))
@@ -333,19 +337,18 @@ def ber_gl(dist: SirDistribution) -> float:
     return float(np.dot(weights, sir_cdf(dist, nodes))) / (2.0 * SQRT_PI)
 
 
-def _cross_checked(dist: SirDistribution, log_ber: float, bound: float, nodes: int,
-                   threshold: float) -> BerResult:
+def _cross_checked(dist: SirDistribution, log_ber: float, bound: float, nodes: int) -> BerResult:
     direct = _direct_result(dist, log_ber, bound, nodes)
     alt = ber_gl(dist)
     disagreement = abs(direct.value - alt)
-    if not disagreement < threshold:
-        raise CrossCheckError(direct.value, alt, threshold)
+    if not disagreement < CROSS_CHECK_THRESHOLD:
+        raise CrossCheckError(direct.value, alt, CROSS_CHECK_THRESHOLD)
     return BerResult(ber=direct.value,
                      quad_error=direct.abs_error_estimate,
                      route_disagreement=disagreement)
 
 
-def ber_batch(dists, cross_check_threshold: float = CROSS_CHECK_THRESHOLD) -> list:
+def ber_batch(dists) -> list:
     """ber() of every SIR law in one pass of the direct route, in order.
 
     Each entry is the law's BerResult, or the QuadratureError, CrossCheckError
@@ -359,22 +362,21 @@ def ber_batch(dists, cross_check_threshold: float = CROSS_CHECK_THRESHOLD) -> li
     outcomes = []
     for dist, log_ber, bound, nodes in zip(dists, *direct):
         try:
-            outcomes.append(_cross_checked(dist, log_ber, bound, nodes, cross_check_threshold))
+            outcomes.append(_cross_checked(dist, log_ber, bound, nodes))
         except (QuadratureError, CrossCheckError, ValueError) as exc:
             outcomes.append(exc)
     return outcomes
 
 
-def ber(scenario: Scenario | SirDistribution,
-        cross_check_threshold: float = CROSS_CHECK_THRESHOLD) -> BerResult:
+def ber(scenario: Scenario | SirDistribution) -> BerResult:
     """Average BER of a scenario or SIR law, cross-checked between both routes.
 
     Returns the direct route's value with its error bound and the route
     disagreement; raises QuadratureError when the direct route fails and
-    CrossCheckError when the routes differ by the threshold or more.
+    CrossCheckError when the routes differ by CROSS_CHECK_THRESHOLD or more.
     """
     dist = sir_distribution(scenario) if isinstance(scenario, Scenario) else scenario
-    (outcome,) = ber_batch([dist], cross_check_threshold)
+    (outcome,) = ber_batch([dist])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -5,8 +5,8 @@ amplitude gamma-distributed), the single co-channel interferer is Rayleigh,
 and the M maximal-ratio-combined branches yield an SIR whose density has the
 two-parameter closed form carried by :class:`SirDistribution`: the only
 density the package evaluates (montecarlo samples the fading laws instead).
-`sir_pdf` and `sir_cdf` take scalars or arrays; the density is written once,
-in log space (`log_pdf_terms`), for `sir_pdf` and the direct BER route.
+`sir_pdf` and `sir_cdf` take scalars or arrays; `sir_pdf` evaluates the
+density in log space.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -102,7 +102,7 @@ class SirDistribution:
 
     pdf(y) = shape * beta**shape * y**(shape-1) * (1 + beta*y)**-(shape+1)
     cdf(y) = (beta*y / (1 + beta*y))**shape
-    (the pdf is evaluated through its logarithm, see log_pdf_terms)
+    (sir_pdf evaluates the pdf through its logarithm)
 
     shape = M*m; beta folds the power ratio, distance ratio, path-loss
     exponent and the two mean fading powers into a single scale.  The mean of
@@ -135,14 +135,6 @@ def sir_distribution(scenario: Scenario) -> SirDistribution:
                            beta=fading.m / fading.sigma * c)
 
 
-def log_pdf_terms(shape, beta) -> tuple:
-    """(head, rise, fall) with log pdf(y) = head + rise*log(y) - fall*log1p(beta*y).
-
-    shape and beta are floats or arrays; xlogy(1, .) is libm's log, bit for bit.
-    """
-    return xlogy(1.0, shape) + xlogy(shape, beta), shape - 1.0, shape + 1.0
-
-
 def sir_pdf(dist: SirDistribution, y):
     """Density of the combined SIR at y >= 0 (y > 0 required when shape < 1), in log space."""
     y = np.asarray(y, dtype=float)
@@ -150,8 +142,9 @@ def sir_pdf(dist: SirDistribution, y):
         raise ValueError("SIR must be >= 0")
     if dist.shape < 1.0 and np.any(y == 0.0):
         raise SingularityError("pdf diverges at y = 0 for shape < 1; evaluate at y > 0")
-    head, rise, fall = log_pdf_terms(dist.shape, dist.beta)
-    out = np.exp(head + xlogy(rise, y) - fall * np.log1p(dist.beta * y))
+    k = dist.shape  # xlogy(1, .) is libm's log, bit for bit
+    out = np.exp(xlogy(1.0, k) + xlogy(k, dist.beta) + xlogy(k - 1.0, y)
+                 - (k + 1.0) * np.log1p(dist.beta * y))
     return float(out) if out.ndim == 0 else out
 
 

@@ -83,10 +83,11 @@ class TestBerDirect:
         assert ber_direct(dist).value == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_matches_reference_table(self):
-        # every row of the mpmath Tricomi-U table, BER from 0.48 down to 1e-244
+        # every row of the mpmath Tricomi-U table: shape 0.5 to 1e5, BER from
+        # 0.48 down to 1e-275
         with open(REFERENCE_PATH, encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
-        assert len(rows) == 69
+        assert len(rows) == 89
         misses = []
         for row in rows:
             shape, beta, expected = (float(row[key]) for key in ("shape", "beta", "ber"))
@@ -108,17 +109,15 @@ class TestBerDirect:
         assert misses == []
 
     def test_quadrature_failure_names_route(self):
-        # log BER is e^-2/2 here, but head = log k + k log beta is ~1.8e9, so
-        # double rounding alone leaves ~1e-7 relative: the bound says so
+        # shape 1e13, beta 1e-300: log BER is about -6.6e15, so eps * |log g|
+        # alone exceeds 1 and the bound cannot vouch even for a BER of 0.0
         with pytest.raises(QuadratureError) as info:
-            ber_direct(SirDistribution(shape=1e8, beta=1e8))
+            ber_direct(SirDistribution(shape=1e13, beta=1e-300))
         message = str(info.value)
-        assert message.startswith("direct route at shape=100000000.0, beta=100000000.0: "
-                                  "quadrature did not converge: relative error bound ")
-        assert message.endswith(" exceeds the tolerance 1e-10")
-        assert "\n" not in message
-        err = info.value
-        assert abs(err.best_estimate - math.exp(-2.0) / 2.0) <= err.error_estimate
+        assert message == ("direct route at shape=10000000000000.0, beta=1e-300: quadrature "
+                           "did not converge: relative error bound 6.0e+00 exceeds the "
+                           "tolerance 1e-10")
+        assert info.value.best_estimate == 0.0
 
     def test_nan_integrand_names_route(self, monkeypatch):
         monkeypatch.setattr(special, "log_ndtr", lambda x: np.full_like(x, math.nan))
@@ -133,18 +132,20 @@ class TestBerDirect:
         assert (result.ber, result.quad_error) == (0.0, 0.0)
 
     def test_strongest_interference_stays_at_most_half(self):
-        # beta 1e300: the rule's sum lands a few ulps above 1/2, which the BER
+        # beta 1e55: the rule's sum lands a few ulps above 1/2, which the BER
         # can never exceed, so the value is clipped there
-        dist = SirDistribution(shape=1.0, beta=1e300)
-        result = ber_direct(dist)
-        assert result.value == 0.5
+        dist = SirDistribution(shape=1.0, beta=1e55)
+        assert ber_direct(dist).value == 0.5
         assert ber(dist).ber == 0.5
+        # beta 1e300: the sum lands an ulp below 1/2, inside its bound
+        result = ber_direct(SirDistribution(shape=1.0, beta=1e300))
+        assert 0.5 - result.abs_error_estimate <= result.value <= 0.5
 
 
 class TestBerBatch:
     LAWS = tuple(SirDistribution(shape=k, beta=b) for k, b in (
         (6.0, 0.2), (0.5, 1.0), (2.3, 1e-4), (36.0, 40.0), (1.0, 1e300), (320.0, 0.01),
-        (12.0, 3.8), (4.0, 0.00807), (100.0, 1e3), (1e8, 1e8), (24.0, 0.305)))
+        (12.0, 3.8), (4.0, 0.00807), (100.0, 1e3), (1e8, 1e8), (24.0, 0.305), (1e13, 1e-300)))
 
     @staticmethod
     def _bits(outcome):
@@ -170,7 +171,7 @@ class TestBerBatch:
     def test_outcomes_follow_input_order(self):
         outcomes = ber_batch([sir_distribution(FIG2),
                               SirDistribution(shape=0.5, beta=1.0),
-                              SirDistribution(shape=1e8, beta=1e8)])
+                              SirDistribution(shape=1e13, beta=1e-300)])
         assert outcomes[0] == ber(FIG2)
         assert isinstance(outcomes[1], CrossCheckError)
         assert isinstance(outcomes[2], QuadratureError)
@@ -197,13 +198,14 @@ class TestBerGl:
         # rows lie outside the fixed rule's domain, so they are left out:
         # shape 0.5 has the y**(shape-1) endpoint kink, shape 2.3 misses by up
         # to 7e-7, and at beta >= 5 the distribution function rises within
-        # ~1/beta of the origin, where the nodes are too sparse.
+        # ~1/beta of the origin, where the nodes are too sparse.  Nor is the
+        # rule meant to hold 1e-12 at the table's orders above 320.
         with open(REFERENCE_PATH, encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
         checked, misses = 0, []
         for row in rows:
             shape, beta, expected = (float(row[key]) for key in ("shape", "beta", "ber"))
-            if not (shape >= 1.0 and shape.is_integer() and beta <= 1.0):
+            if not (1.0 <= shape <= 320.0 and shape.is_integer() and beta <= 1.0):
                 continue
             checked += 1
             value = ber_gl(SirDistribution(shape=shape, beta=beta))
@@ -243,11 +245,6 @@ class TestBer:
         err = info.value
         assert math.isfinite(err.direct) and math.isfinite(err.gauss_laguerre)
         assert abs(err.direct - err.gauss_laguerre) >= err.threshold
-
-    def test_relaxed_threshold_allows_severe_fading(self):
-        worst_case = scen(m=0.5, M=1, p1=10, p2=10, s=100, t=100, n=2.0)
-        result = ber(worst_case, cross_check_threshold=1e-2)
-        assert 0.0 < result.ber < 0.5
 
 
 def _ber_value(**kwargs):

@@ -97,10 +97,10 @@ n = 3.5
 # the single-threaded block loop: four blocks per point, the last one short.
 FIG3_VALIDATE_200003 = """\
 m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err,mc_mean,mc_std_error,ks_stat,pass
-2,1,1,1,15,6,90,90,3,2,0.251785082359,0.0103795784026,6.10574126264e-16,0.0104464331059,7.29353521855e-05,0.00108544370988,1
-2,2,1,1,15,6,90,90,3,4,0.251785082359,0.00109323449706,4.21000210611e-17,0.00109865993375,1.51437495469e-05,0.0015462389839,1
-2,3,1,1,15,6,90,90,3,6,0.251785082359,0.000188460197724,6.77579848311e-18,0.000186511923749,4.07425102331e-06,0.00235027798181,1
-2,4,1,1,15,6,90,90,3,8,0.251785082359,4.23973991199e-05,1.58186919786e-18,4.41224830965e-05,1.58211033536e-06,0.00195823598266,1
+2,1,1,1,15,6,90,90,3,2,0.251785082359,0.0103795784026,6.30099366434e-16,0.0104464331059,7.29353521855e-05,0.00108544370988,1
+2,2,1,1,15,6,90,90,3,4,0.251785082359,0.00109323449706,4.23672092395e-17,0.00109865993375,1.51437495469e-05,0.0015462389839,1
+2,3,1,1,15,6,90,90,3,6,0.251785082359,0.000188460197724,6.38089838954e-18,0.000186511923749,4.07425102331e-06,0.00235027798181,1
+2,4,1,1,15,6,90,90,3,8,0.251785082359,4.23973991199e-05,1.39992173557e-18,4.41224830965e-05,1.58211033536e-06,0.00195823598266,1
 """
 
 
@@ -109,29 +109,29 @@ m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err,mc_mean,mc_std_error,k
 SWEEP_FROZEN = {
     "fig2_sweep.ini": """\
 m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err
-3,2,1,1,17,10,60,60,3.5,6,0.598578694491,0.0021314717046,6.48036017297e-17
-3,2,1,1,17,10,70,60,3.5,6,1.02667980259,0.00684057612661,2.07228504719e-16
-3,2,1,1,17,10,80,60,3.5,6,1.63835055595,0.0156154626257,4.89224882506e-16
-3,2,1,1,17,10,90,60,3.5,6,2.47423337843,0.0285924510641,9.348661705e-16
-3,2,1,1,17,10,100,60,3.5,6,3.577600795,0.04512936123,1.59462335268e-15
-3,2,1,1,17,10,60,90,3.5,6,0.144811098509,2.70551584463e-05,1.07311518276e-18
-3,2,1,1,17,10,70,90,3.5,6,0.248379421785,0.000180340391282,6.45015563998e-18
-3,2,1,1,17,10,80,90,3.5,6,0.396357815494,0.00073516474146,2.43058752183e-17
-3,2,1,1,17,10,90,90,3.5,6,0.598578694491,0.0021314717046,6.48036017297e-17
-3,2,1,1,17,10,100,90,3.5,6,0.865510760604,0.00485492250618,1.45729817193e-16
-3,2,1,1,17,10,60,120,3.5,6,0.0529073817435,3.64216160875e-07,1.6590861143e-20
-3,2,1,1,17,10,70,120,3.5,6,0.090746531315,4.12542468573e-06,1.74409133843e-19
-3,2,1,1,17,10,80,120,3.5,6,0.144811098509,2.70551584463e-05,1.07311518276e-18
-3,2,1,1,17,10,90,120,3.5,6,0.218693400016,0.000118402987064,4.36387437714e-18
-3,2,1,1,17,10,100,120,3.5,6,0.316218222815,0.000382991767069,1.29639489412e-17
+3,2,1,1,17,10,60,60,3.5,6,0.598578694491,0.0021314717046,6.57262477568e-17
+3,2,1,1,17,10,70,60,3.5,6,1.02667980259,0.00684057612661,2.11961799413e-16
+3,2,1,1,17,10,80,60,3.5,6,1.63835055595,0.0156154626257,4.92311977502e-16
+3,2,1,1,17,10,90,60,3.5,6,2.47423337843,0.0285924510641,9.04008491531e-16
+3,2,1,1,17,10,100,60,3.5,6,3.577600795,0.04512936123,1.45538173808e-15
+3,2,1,1,17,10,60,90,3.5,6,0.144811098509,2.70551584463e-05,9.86531594515e-19
+3,2,1,1,17,10,70,90,3.5,6,0.248379421785,0.000180340391282,6.09753295685e-18
+3,2,1,1,17,10,80,90,3.5,6,0.396357815494,0.00073516474146,2.3763591952e-17
+3,2,1,1,17,10,90,90,3.5,6,0.598578694491,0.0021314717046,6.57262477568e-17
+3,2,1,1,17,10,100,90,3.5,6,0.865510760604,0.00485492250618,1.50100537863e-16
+3,2,1,1,17,10,60,120,3.5,6,0.0529073817435,3.64216160875e-07,1.5052546764e-20
+3,2,1,1,17,10,70,120,3.5,6,0.090746531315,4.12542468573e-06,1.58613916452e-19
+3,2,1,1,17,10,80,120,3.5,6,0.144811098509,2.70551584463e-05,9.86531594515e-19
+3,2,1,1,17,10,90,120,3.5,6,0.218693400016,0.000118402987064,4.11973406806e-18
+3,2,1,1,17,10,100,120,3.5,6,0.316218222815,0.000382991767069,1.25288643997e-17
 """,
     "fig4_sweep.ini": """\
 m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err
-4,3,1,1,15,0,100,80,2.9,12,0.241601167743,2.77238238931e-06,1.18249376838e-19
-4,3,1,1,15,3,100,80,2.9,12,0.48205770525,6.67821915155e-05,2.32720045798e-18
-4,3,1,1,15,6,100,80,2.9,12,0.961831572926,0.000749890630772,2.15270628802e-17
-4,3,1,1,15,9,100,80,2.9,12,1.91910629081,0.0045444986311,1.31877480585e-16
-4,3,1,1,15,12,100,80,2.9,12,3.82912046046,0.0170591947116,5.33556237725e-16
+4,3,1,1,15,0,100,80,2.9,12,0.241601167743,2.77238238931e-06,9.20781658078e-20
+4,3,1,1,15,3,100,80,2.9,12,0.48205770525,6.67821915155e-05,1.97467791881e-18
+4,3,1,1,15,6,100,80,2.9,12,0.961831572926,0.000749890630772,2.01455136683e-17
+4,3,1,1,15,9,100,80,2.9,12,1.91910629081,0.0045444986311,1.11896638908e-16
+4,3,1,1,15,12,100,80,2.9,12,3.82912046046,0.0170591947116,4.29831067575e-16
 """,
 }
 
@@ -434,9 +434,10 @@ class TestCliProcess:
         # shape 100 at beta 1004.75: the same GL-route limit as shape 320 above
         ("point", "--m 4 --M 25 --p1_dbm 6 --p2_dbm 30 --s 90 --t 90 --n 3",
          "BER routes disagree: direct=0.266383154551"),
-        # shape 1e8: rounding in log space alone exceeds the tolerance
+        # shape 1e8 at beta 1e8: the direct route's value is right, but the
+        # order-128 GL rule is 8.1e-7 away, so the cross-check refuses it
         ("point", "--m 1e8 --M 1 --p1_dbm 0 --p2_dbm 0 --s 1 --t 1 --n 3",
-         "direct route at shape=100000000.0, beta=100000000.0: quadrature did not converge"),
+         "BER routes disagree: direct=0.0676676421258"),
     ], ids=["shape-0.5", "shape-320", "shape-100", "shape-1e8"])
     def test_numerical_failure_exit_code(self, command, flags, message):
         proc = run_cli(command, *flags.split())
