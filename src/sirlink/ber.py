@@ -4,18 +4,18 @@ The direct route integrates the conditional error probability against the
 SIR density, both in log form, over x = log y, where the integrand is smooth
 and log-concave, so a plain trapezoid rule converges geometrically
 (Trefethen & Weideman, SIAM Review 2014).  It runs as a few numpy calls over
-every law of a grid at once (`ber_batch`) and carries an error bound
+many laws of a grid at once (`ber_batch`) and carries an error bound
 relative to the BER, so deep-quiet and high-order laws keep their digits.
 The second route integrates by parts first, which turns the integral into
 the SIR distribution function weighted by y^(-1/2) e^(-y) - exactly the
 generalized Gauss-Laguerre weight - so a fixed 128-node rule evaluates it as
-one dot product over scipy's arrays.  Both run on every top-level evaluation
-and must agree, otherwise the evaluation fails loudly.
+one weighted sum per law, over the same laws at once.  Both run on every
+top-level evaluation and must agree, otherwise the evaluation fails loudly.
 
-The tolerance, the rule (scipy roots_genlaguerre, cached as read-only arrays)
-and the paper's Gamma(1/2, .) (scipy gammaincc) live here too.  All functions
-are pure; the rule cache is the only shared state and cannot be written, so
-all are thread-safe.
+The tolerance, the rule (scipy's Gauss-Hermite rule folded onto y = x^2,
+cached as read-only arrays) and the paper's Gamma(1/2, .) (scipy gammaincc)
+live here too.  All functions are pure; the rule cache is the only shared
+state and cannot be written, so all are thread-safe.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .channel import Scenario, SirDistribution, sir_cdf, sir_distribution
+from .channel import Scenario, SirDistribution, _cdf, sir_distribution
+from .channel import sir_cdf  # noqa: F401  (perfbench/test_harness.py reads ber.sir_cdf)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -59,6 +60,11 @@ _MAX_NEWTON = 60
 _MAX_NEWTON_STEP = 4.0
 _EPS = float(np.finfo(float).eps)
 _SQRT2 = math.sqrt(2.0)
+# log of half the smallest subnormal double: a value below it rounds to 0.0
+_LOG_UNDERFLOW = -1075.0 * math.log(2.0)
+# Laws per pass of ber_batch.  A longer pass saves little time, but its
+# temporaries grow with it: _direct holds ~3 MB at 200 laws, ~0.6 MB at 32.
+_PASS_LAWS = 32
 
 
 class QuadratureError(RuntimeError):
@@ -135,14 +141,19 @@ def conditional_ber(gamma: float) -> float:
 def gauss_laguerre_half(order: int) -> tuple:
     """(nodes, weights) of the generalized Gauss-Laguerre rule for y^(-1/2) * exp(-y).
 
-    Built by scipy.special.roots_genlaguerre (the Golub-Welsch eigenvalue
-    method).  Exact for polynomials up to degree 2*order - 1 under the weight.
-    Both arrays are cached and read-only, so no caller can corrupt the rule
-    every later call shares.
+    Exact for polynomials up to degree 2*order - 1 under the weight.  It is
+    the 2*order-node Gauss-Hermite rule folded onto y = x^2: nodes x^2 and
+    weights 2w of its positive half, since L_order^(-1/2)(x^2) is
+    proportional to H_(2*order)(x).  At 2*order > 150 scipy.special.roots_hermite
+    uses its asymptotic algorithm, which, unlike roots_genlaguerre's
+    eigenvalue method, needs no scipy.linalg: the 128-node rule builds in a
+    few ms without loading its ~7 MB.  Both arrays are cached and read-only,
+    so no caller can corrupt the rule every later call shares.
     """
     if not 1 <= order <= DEFAULT_GL_ORDER:
         raise ValueError(f"order must be in [1, {DEFAULT_GL_ORDER}], got {order}")
-    nodes, weights = special.roots_genlaguerre(order, -0.5)
+    x, w = special.roots_hermite(2 * order)
+    nodes, weights = x[order:] ** 2, 2.0 * w[order:]
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -300,16 +311,17 @@ def _direct(shape, beta):
 def _direct_result(dist: SirDistribution, log_ber: float, bound: float,
                    nodes: int) -> QuadratureResult:
     """One law's row of _direct as a QuadratureResult; a NaN or a loose bound raises."""
-    route = f"direct route at shape={dist.shape!r}, beta={dist.beta!r}"
     value, bound = math.exp(log_ber), float(bound)
     if math.isnan(value):
-        raise QuadratureError(f"{route}: integrand produced NaN")
-    # a BER that underflows to 0.0 is off by less than the smallest double,
-    # however loose its relative bound
-    if not (bound <= DEFAULT_REL_TOL or (value == 0.0 and bound < 1.0)):
+        raise QuadratureError(f"direct route at shape={dist.shape!r}, beta={dist.beta!r}: "
+                              "integrand produced NaN")
+    # A BER that underflows to 0.0 is exact, however loose its relative bound,
+    # once even BER * (1 + bound) rounds to 0.0: log1p(bound) <= bound.
+    if not (bound <= DEFAULT_REL_TOL or (value == 0.0 and log_ber + bound < _LOG_UNDERFLOW)):
         raise QuadratureError(
-            f"{route}: quadrature did not converge: relative error bound {bound:.1e} "
-            f"exceeds the tolerance {DEFAULT_REL_TOL:.0e}", value, bound * value)
+            f"direct route at shape={dist.shape!r}, beta={dist.beta!r}: quadrature did not "
+            f"converge: relative error bound {bound:.1e} exceeds the tolerance "
+            f"{DEFAULT_REL_TOL:.0e}", value, bound * value)
     return QuadratureResult(value=value, abs_error_estimate=bound * value,
                             evaluations=int(nodes))
 
@@ -325,21 +337,29 @@ def ber_direct(dist: SirDistribution) -> QuadratureResult:
     return _direct_result(dist, log_ber[0], bound[0], nodes[0])
 
 
-def ber_gl(dist: SirDistribution) -> float:
-    """Average BER from the integrated-by-parts form, as a float.
+def _gl(shape, beta):
+    """Average BER of every law at once from the integrated-by-parts form.
 
     d/dy Gamma(1/2, y) = -y**(-1/2) e**(-y) and the SIR distribution function
     vanishes at 0, so the boundary terms drop and the average BER equals
     sum(w_i * cdf(y_i)) / (2*sqrt(pi)) over the DEFAULT_GL_ORDER-node
-    y^(-1/2)e^(-y) rule of gauss_laguerre_half.
+    y^(-1/2)e^(-y) rule of gauss_laguerre_half.  Each law's row is summed on
+    its own (a reduction, not a BLAS product), so no law's bits depend on
+    the others in the batch.
     """
     nodes, weights = gauss_laguerre_half(DEFAULT_GL_ORDER)
-    return float(np.dot(weights, sir_cdf(dist, nodes))) / (2.0 * SQRT_PI)
+    cdf = _cdf(shape[:, None], beta[:, None], nodes)
+    return np.add.reduce(weights * cdf, axis=1) / (2.0 * SQRT_PI)
 
 
-def _cross_checked(dist: SirDistribution, log_ber: float, bound: float, nodes: int) -> BerResult:
+def ber_gl(dist: SirDistribution) -> float:
+    """Average BER by the Gauss-Laguerre rule of _gl, for one law, as a float."""
+    return float(_gl(np.array([dist.shape]), np.array([dist.beta]))[0])
+
+
+def _cross_checked(dist: SirDistribution, log_ber: float, bound: float, nodes: int,
+                   alt: float) -> BerResult:
     direct = _direct_result(dist, log_ber, bound, nodes)
-    alt = ber_gl(dist)
     disagreement = abs(direct.value - alt)
     if not disagreement < CROSS_CHECK_THRESHOLD:
         raise CrossCheckError(direct.value, alt, CROSS_CHECK_THRESHOLD)
@@ -349,22 +369,23 @@ def _cross_checked(dist: SirDistribution, log_ber: float, bound: float, nodes: i
 
 
 def ber_batch(dists) -> list:
-    """ber() of every SIR law in one pass of the direct route, in order.
+    """ber() of every SIR law, in order, each route passing over _PASS_LAWS laws at once.
 
     Each entry is the law's BerResult, or the QuadratureError, CrossCheckError
     or ValueError that ber() raises for it, so a caller can stop at the first
     failing law in its own order.  No law's bits depend on the others.
     """
     dists = list(dists)
-    if not dists:
-        return []
-    direct = _direct(np.array([d.shape for d in dists]), np.array([d.beta for d in dists]))
     outcomes = []
-    for dist, log_ber, bound, nodes in zip(dists, *direct):
-        try:
-            outcomes.append(_cross_checked(dist, log_ber, bound, nodes))
-        except (QuadratureError, CrossCheckError, ValueError) as exc:
-            outcomes.append(exc)
+    for start in range(0, len(dists), _PASS_LAWS):
+        part = dists[start:start + _PASS_LAWS]
+        shape, beta = np.array([d.shape for d in part]), np.array([d.beta for d in part])
+        for dist, log_ber, bound, nodes, alt in zip(part, *_direct(shape, beta),
+                                                    _gl(shape, beta).tolist()):
+            try:
+                outcomes.append(_cross_checked(dist, log_ber, bound, nodes, alt))
+            except (QuadratureError, CrossCheckError, ValueError) as exc:
+                outcomes.append(exc)
     return outcomes
 
 

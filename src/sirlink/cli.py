@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -365,6 +366,7 @@ def _add_key_flags(sub: argparse.ArgumentParser, section: str) -> None:
                          choices=AXIS_NAMES if key.endswith("axis") else None)
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _make_parser() -> _Parser:
     parser = _Parser(prog="sirlink",
                      description="Interference-limited fading-link BER toolkit")

@@ -109,15 +109,15 @@ class TestBerDirect:
         assert misses == []
 
     def test_quadrature_failure_names_route(self):
-        # shape 1e13, beta 1e-300: log BER is about -6.6e15, so eps * |log g|
-        # alone exceeds 1 and the bound cannot vouch even for a BER of 0.0
+        # shape 1e16, beta 1e-300: the rule's bound is NaN, so it cannot vouch
+        # even for a BER of 0.0
         with pytest.raises(QuadratureError) as info:
-            ber_direct(SirDistribution(shape=1e13, beta=1e-300))
+            ber_direct(SirDistribution(shape=1e16, beta=1e-300))
         message = str(info.value)
-        assert message == ("direct route at shape=10000000000000.0, beta=1e-300: quadrature "
-                           "did not converge: relative error bound 6.0e+00 exceeds the "
+        assert message == ("direct route at shape=1e+16, beta=1e-300: quadrature "
+                           "did not converge: relative error bound nan exceeds the "
                            "tolerance 1e-10")
-        assert info.value.best_estimate == 0.0
+        assert math.isnan(info.value.error_estimate)
 
     def test_nan_integrand_names_route(self, monkeypatch):
         monkeypatch.setattr(special, "log_ndtr", lambda x: np.full_like(x, math.nan))
@@ -130,6 +130,10 @@ class TestBerDirect:
         # relative, but a BER this far below the smallest double is 0.0
         result = ber(SirDistribution(shape=2430.72, beta=5.73e-160))
         assert (result.ber, result.quad_error) == (0.0, 0.0)
+        # shape 1e13, beta 1e-300: log BER ~ -6.6e15 with a relative bound of
+        # ~6, yet even BER * (1 + 6) lies far below the smallest double
+        result = ber_direct(SirDistribution(shape=1e13, beta=1e-300))
+        assert (result.value, result.abs_error_estimate) == (0.0, 0.0)
 
     def test_strongest_interference_stays_at_most_half(self):
         # beta 1e55: the rule's sum lands a few ulps above 1/2, which the BER
@@ -145,7 +149,8 @@ class TestBerDirect:
 class TestBerBatch:
     LAWS = tuple(SirDistribution(shape=k, beta=b) for k, b in (
         (6.0, 0.2), (0.5, 1.0), (2.3, 1e-4), (36.0, 40.0), (1.0, 1e300), (320.0, 0.01),
-        (12.0, 3.8), (4.0, 0.00807), (100.0, 1e3), (1e8, 1e8), (24.0, 0.305), (1e13, 1e-300)))
+        (12.0, 3.8), (4.0, 0.00807), (100.0, 1e3), (1e8, 1e8), (24.0, 0.305), (1e13, 1e-300),
+        (1e16, 1e-300)))
 
     @staticmethod
     def _bits(outcome):
@@ -162,6 +167,8 @@ class TestBerBatch:
             for _ in range(3):
                 laws = rng.sample(self.LAWS, size)
                 assert [self._bits(o) for o in ber_batch(laws)] == [alone[d] for d in laws]
+        laws = rng.choices(self.LAWS, k=100)  # several passes of the routes
+        assert [self._bits(o) for o in ber_batch(laws)] == [alone[d] for d in laws]
         for dist in self.LAWS:
             try:
                 assert self._bits(ber(dist)) == alone[dist]
@@ -171,11 +178,26 @@ class TestBerBatch:
     def test_outcomes_follow_input_order(self):
         outcomes = ber_batch([sir_distribution(FIG2),
                               SirDistribution(shape=0.5, beta=1.0),
-                              SirDistribution(shape=1e13, beta=1e-300)])
+                              SirDistribution(shape=1e16, beta=1e-300)])
         assert outcomes[0] == ber(FIG2)
         assert isinstance(outcomes[1], CrossCheckError)
         assert isinstance(outcomes[2], QuadratureError)
         assert ber_batch([]) == []
+
+    def test_gl_route_is_its_one_law_case(self):
+        # a law's Gauss-Laguerre value in a batch is ber_gl's, to the bit:
+        # through the route gap, or through a cross-check failure's values
+        checked = 0
+        for dist, outcome in zip(self.LAWS, ber_batch(self.LAWS)):
+            if isinstance(outcome, CrossCheckError):
+                assert outcome.gauss_laguerre.hex() == ber_gl(dist).hex()
+            elif isinstance(outcome, BerResult):
+                gap = abs(ber_direct(dist).value - ber_gl(dist))
+                assert outcome.route_disagreement.hex() == gap.hex()
+            else:
+                continue
+            checked += 1
+        assert checked == len(self.LAWS) - 1
 
 
 class TestBerGl:
@@ -185,8 +207,8 @@ class TestBerGl:
             pytest.approx(0.5, abs=1e-9)
 
     def test_array_sum_matches_term_loop(self):
-        # reference: exactly rounded sum of the scalar terms; the array dot
-        # product sums 128 positive terms, so 1e-13 relative bounds its rounding
+        # reference: exactly rounded sum of the scalar terms; the array sum
+        # adds 128 positive terms, so 1e-13 relative bounds its rounding
         nodes, weights = gauss_laguerre_half(DEFAULT_GL_ORDER)
         for dist in (sir_distribution(FIG2), SirDistribution(shape=1.0, beta=1.0)):
             loop = math.fsum(w * sir_cdf(dist, y) for y, w in zip(nodes, weights))

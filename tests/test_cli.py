@@ -515,6 +515,18 @@ class TestCliProcess:
         proc = run_cli("sweep", "--axis", "bogus")
         assert proc.returncode == 1
 
+    def test_main_carries_nothing_between_calls(self, capsys):
+        # the parser is built once per process: neither a flag override nor a
+        # usage error may leave anything in it for the next call
+        argv = ["sweep", "--config", os.path.join(CONFIG_DIR, "fig4_sweep.ini")]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv + ["--t", "120"]) == 0
+        assert main(["sweep", "--axis", "bogus"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first == SWEEP_FROZEN["fig4_sweep.ini"]
+
     def test_dist_dump(self, tmp_path):
         cfg = tmp_path / "point.ini"
         cfg.write_text(MINIMAL)

@@ -1,8 +1,8 @@
 """Tests of the numerics under `sirlink.ber`, each against an independent oracle.
 
 Covers the paper's Gamma(1/2, .) (`upper_incomplete_gamma`) and the
-Gauss-Laguerre rule (`gauss_laguerre_half`, scipy's read-only node and weight
-arrays).  The direct route's trapezoid rule runs inside `ber_direct` and
+Gauss-Laguerre rule (`gauss_laguerre_half`, scipy's Gauss-Hermite rule folded
+onto y = x^2, as read-only arrays).  The direct route's trapezoid rule runs inside `ber_direct` and
 `ber_batch`; tests/test_ber.py holds it to an mpmath table and tests its
 error bound and failure paths.
 """
@@ -10,7 +10,9 @@ error bound and failure paths.
 import math
 from math import erfc
 
+import numpy as np
 import pytest
+from scipy import special
 
 from sirlink import gauss_laguerre_half, upper_incomplete_gamma
 from sirlink.ber import SQRT_PI
@@ -112,6 +114,14 @@ class TestGaussLaguerreHalf:
     def test_domain(self, order):
         with pytest.raises(ValueError):
             gauss_laguerre_half(order)
+
+    def test_matches_golub_welsch_rule(self):
+        # roots_genlaguerre builds the same Gauss rule by another method (the
+        # eigenvalues of its Jacobi matrix); here it serves only as a reference
+        nodes, weights = gauss_laguerre_half(128)
+        ref_nodes, ref_weights = special.roots_genlaguerre(128, -0.5)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(weights, ref_weights, rtol=1e-12, atol=0.0)
 
     def test_cached_arrays_are_read_only(self):
         # every ber_gl call shares these arrays, so a write must not get through

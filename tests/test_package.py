@@ -61,3 +61,16 @@ def test_import_loads_no_quadpack():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_sweep_loads_no_linalg():
+    # scipy.linalg costs ~45 ms and ~7 MB; the 128-node rule is built without
+    # it, so a whole sweep must not load it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "fig2_sweep.ini")
+    code = ("import sys; from sirlink.cli import main; "
+            f"status = main(['sweep', '--config', {config!r}]); "
+            "print(status, sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
