@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
 
-from .channel import Scenario, SirDistribution, _cdf, sir_distribution
-from .channel import sir_cdf  # noqa: F401  (perfbench/test_harness.py reads ber.sir_cdf)
+from .channel import Scenario, SirDistribution, sir_cdf, sir_distribution
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -308,20 +308,22 @@ def _direct(shape, beta):
     return log_ber, bound, nodes
 
 
+def _route(dist: SirDistribution) -> str:
+    return f"direct route at shape={dist.shape!r}, beta={dist.beta!r}"
+
+
 def _direct_result(dist: SirDistribution, log_ber: float, bound: float,
                    nodes: int) -> QuadratureResult:
     """One law's row of _direct as a QuadratureResult; a NaN or a loose bound raises."""
     value, bound = math.exp(log_ber), float(bound)
     if math.isnan(value):
-        raise QuadratureError(f"direct route at shape={dist.shape!r}, beta={dist.beta!r}: "
-                              "integrand produced NaN")
+        raise QuadratureError(f"{_route(dist)}: integrand produced NaN")
     # A BER that underflows to 0.0 is exact, however loose its relative bound,
     # once even BER * (1 + bound) rounds to 0.0: log1p(bound) <= bound.
     if not (bound <= DEFAULT_REL_TOL or (value == 0.0 and log_ber + bound < _LOG_UNDERFLOW)):
         raise QuadratureError(
-            f"direct route at shape={dist.shape!r}, beta={dist.beta!r}: quadrature did not "
-            f"converge: relative error bound {bound:.1e} exceeds the tolerance "
-            f"{DEFAULT_REL_TOL:.0e}", value, bound * value)
+            f"{_route(dist)}: quadrature did not converge: relative error bound {bound:.1e} "
+            f"exceeds the tolerance {DEFAULT_REL_TOL:.0e}", value, bound * value)
     return QuadratureResult(value=value, abs_error_estimate=bound * value,
                             evaluations=int(nodes))
 
@@ -343,12 +345,13 @@ def _gl(shape, beta):
     d/dy Gamma(1/2, y) = -y**(-1/2) e**(-y) and the SIR distribution function
     vanishes at 0, so the boundary terms drop and the average BER equals
     sum(w_i * cdf(y_i)) / (2*sqrt(pi)) over the DEFAULT_GL_ORDER-node
-    y^(-1/2)e^(-y) rule of gauss_laguerre_half.  Each law's row is summed on
-    its own (a reduction, not a BLAS product), so no law's bits depend on
+    y^(-1/2)e^(-y) rule of gauss_laguerre_half.  One sir_cdf call takes the
+    laws as columns against the row of nodes, and each law's row is summed
+    on its own (a reduction, not a BLAS product), so no law's bits depend on
     the others in the batch.
     """
     nodes, weights = gauss_laguerre_half(DEFAULT_GL_ORDER)
-    cdf = _cdf(shape[:, None], beta[:, None], nodes)
+    cdf = sir_cdf(SimpleNamespace(shape=shape[:, None], beta=beta[:, None]), nodes)
     return np.add.reduce(weights * cdf, axis=1) / (2.0 * SQRT_PI)
 
 

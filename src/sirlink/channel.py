@@ -6,8 +6,8 @@ and the M maximal-ratio-combined branches yield an SIR whose density has the
 two-parameter closed form carried by :class:`SirDistribution`: the only
 density the package evaluates (montecarlo samples the fading laws instead).
 `sir_pdf` and `sir_cdf` take scalars or arrays; `sir_pdf` evaluates the
-density in log space, and `ber`'s Gauss-Laguerre route evaluates the
-distribution function of many laws at once through `_cdf`.
+density in log space, and `sir_cdf` also broadcasts over many laws at once,
+as `ber`'s Gauss-Laguerre route evaluates it.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -150,16 +150,15 @@ def sir_pdf(dist: SirDistribution, y):
 
 
 def sir_cdf(dist: SirDistribution, y):
-    """Distribution function (beta*y / (1 + beta*y))**shape; 0 at 0, 1 at infinity."""
+    """Distribution function (beta*y / (1 + beta*y))**shape; 0 at 0, 1 at infinity.
+
+    dist.shape and dist.beta broadcast against y, so a dist whose shape and
+    beta are columns of many laws evaluates them all against a row of y.
+    """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise ValueError("SIR must be >= 0")
-    out = _cdf(dist.shape, dist.beta, y)
-    return float(out) if out.ndim == 0 else out
-
-
-def _cdf(shape, beta, y):
-    """sir_cdf's formula, unchecked, broadcasting shape, beta and y against each other."""
     # clamped so that t/(1+t) is 1, not inf/inf, once beta*y overflows
-    t = np.minimum(beta * y, np.finfo(float).max)
-    return (t / (1.0 + t)) ** shape
+    t = np.minimum(dist.beta * y, np.finfo(float).max)
+    out = (t / (1.0 + t)) ** dist.shape
+    return float(out) if out.ndim == 0 else out

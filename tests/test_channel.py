@@ -2,6 +2,7 @@
 
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,6 +213,15 @@ class TestSirCdf:
         dist = SirDistribution(shape=1.0, beta=1e300)
         with np.errstate(over="ignore", invalid="raise"):
             assert sir_cdf(dist, np.array([1.0, 1e9, 1e300])).tolist() == [1.0, 1.0, 1.0]
+
+    def test_broadcasts_laws_as_columns(self):
+        laws = SimpleNamespace(shape=np.array([[d.shape] for d in CHANNEL_GRID]),
+                               beta=np.array([[d.beta] for d in CHANNEL_GRID]))
+        ys = np.geomspace(1e-3, 1e4, 40)
+        cdfs = sir_cdf(laws, ys)
+        assert cdfs.shape == (len(CHANNEL_GRID), ys.size)
+        for dist, row in zip(CHANNEL_GRID, cdfs):
+            np.testing.assert_allclose(row, sir_cdf(dist, ys), rtol=1e-15, atol=0.0)
 
 
 class TestDistributionInvariants:
