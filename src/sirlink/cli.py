@@ -33,7 +33,7 @@ from .channel import (
     sir_distribution,
     sir_pdf,
 )
-from .montecarlo import derived_seed, estimate_with_draws, ks_statistic
+from .montecarlo import _ks_sorted, derived_seed, estimate_with_draws
 
 SCENARIO_KEYS = ("m", "M", "sigma", "rho", "p1_dbm", "p2_dbm", "s", "t", "n")
 AXIS_NAMES = ("s", "t", "M", "m", "n", "p1_dbm", "p2_dbm", "sigma", "rho")
@@ -301,13 +301,26 @@ def ks_threshold(samples: int) -> float:
     return max(KS_BASE_THRESHOLD, 1.95 / math.sqrt(samples))
 
 
+def _mc_columns(point: dict, dist: SirDistribution, samples: int, seed: int) -> tuple:
+    """(estimate, KS statistic) of one row's draws, which are freed on return."""
+    try:
+        estimate, draws = estimate_with_draws(_build_scenario(point), samples, seed)
+        draws.sort()  # this row's own array: no sorted copy
+        return estimate, _ks_sorted(draws, dist)
+    except MemoryError:
+        raise ConfigError(f"grid point {point}: {samples} samples need {8 * samples} "
+                          "bytes for their draws, more than this process can allocate") from None
+    except (ValueError, ArithmeticError) as exc:
+        raise SweepPointError(point, exc) from exc
+
+
 def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     """Cross-validate every grid point against the Monte Carlo oracle.
 
     Each point draws spec.samples SIRs once.  It passes when the analytic BER
     lies within 3 standard errors of their Monte Carlo mean and their KS
     distance to the analytic distribution stays below the sample-size-aware
-    threshold.
+    threshold.  One row's draws are held at a time, 8 bytes per sample.
 
     corrupt_beta is a test hook: it scales the analytic distribution's beta
     while the Monte Carlo side keeps sampling the physical model, so any
@@ -320,12 +333,8 @@ def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     rows = []
     for index, (point, row) in enumerate(zip(points, _analytic_rows(points, corrupt_beta))):
         _raise_failure(row)
-        try:
-            estimate, draws = estimate_with_draws(_build_scenario(point), spec.samples,
-                                                  derived_seed(spec.seed, index, 0))
-            ks = ks_statistic(draws, SirDistribution(shape=row.shape, beta=row.beta))
-        except (ValueError, ArithmeticError) as exc:
-            raise SweepPointError(point, exc) from exc
+        estimate, ks = _mc_columns(point, SirDistribution(shape=row.shape, beta=row.beta),
+                                   spec.samples, derived_seed(spec.seed, index, 0))
         ok = abs(row.ber - estimate.mean) <= 3.0 * estimate.std_error and ks < threshold
         rows.append(dataclasses.replace(row, mc_mean=estimate.mean,
                                         mc_std_error=estimate.std_error,

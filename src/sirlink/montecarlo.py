@@ -30,6 +30,8 @@ from .channel import Scenario, SirDistribution, sir_cdf
 # across workers therefore reproduces the single-worker result exactly.
 BLOCK_SIZE = 1 << 16
 
+# sample_sir draws the branch gammas this many rows at a time.
+_GAMMA_ROWS = 1 << 13
 
 # Blocks and KS chunks run on a thread pool of one worker per CPU this process
 # may use, one pool per call; numpy's samplers and ufunc loops release the GIL.
@@ -75,9 +77,17 @@ def sample_sir(rng: np.random.Generator, scenario: Scenario, size: int):
     link = scenario.link
     c_geom = 10.0 ** ((link.p2_dbm - link.p1_dbm) / 10.0) * (link.s / link.t) ** link.n
 
-    signal = rng.gamma(m, sigma / m, size=(size, scenario.branches)).sum(axis=-1)
-    interference = c_geom * _interferer_power(rng, scenario.interferer.rho, size)
-    return signal / interference
+    # numpy draws gammas one after another in C order, so row chunks summed
+    # straight into signal use the stream as one (size, M) draw would.
+    signal = np.empty(size)
+    for start in range(0, size, _GAMMA_ROWS):
+        stop = min(start + _GAMMA_ROWS, size)
+        np.sum(rng.gamma(m, sigma / m, size=(stop - start, scenario.branches)),
+               axis=-1, out=signal[start:stop])
+    interference = _interferer_power(rng, scenario.interferer.rho, size)
+    interference *= c_geom
+    signal /= interference
+    return signal
 
 
 def _blocks(samples: int) -> list:
@@ -96,12 +106,17 @@ def _block_partial(scenario: Scenario, seed: int, out, block) -> tuple:
     """
     index, start, stop = block
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    sirs = sample_sir(rng, scenario, size=stop - start)
+    p = sample_sir(rng, scenario, size=stop - start)
     if out is not None:
-        out[start:stop] = sirs
-    p = 0.5 * _erfc_vec(np.sqrt(sirs))
+        out[start:stop] = p
+    # conditional BER, then its squared deviations, in the draws' own array
+    np.sqrt(p, out=p)
+    _erfc_vec(p, out=p)
+    p *= 0.5
     mean = float(p.mean())
-    return sirs.size, mean, float(np.sum((p - mean) ** 2))
+    p -= mean
+    np.square(p, out=p)
+    return p.size, mean, float(np.sum(p))
 
 
 def _fold(partials, seed: int) -> McEstimate:
@@ -148,7 +163,11 @@ def estimate_ber(scenario: Scenario, samples: int, seed: int) -> McEstimate:
 
 
 def estimate_with_draws(scenario: Scenario, samples: int, seed: int):
-    """estimate_ber's estimate, same bits, with the SIRs it averaged in one array."""
+    """estimate_ber's estimate, same bits, with the SIRs it averaged in one array.
+
+    The array is the caller's to keep or overwrite: 8 bytes per sample, on top
+    of the few blocks each worker holds while it draws.
+    """
     draws = np.empty(samples)
     return _estimate(scenario, samples, seed, draws), draws
 
@@ -158,20 +177,33 @@ def _ks_chunk(ordered, dist: SirDistribution, bounds) -> tuple:
     start, stop = bounds
     n = ordered.size
     cdf = np.asarray(sir_cdf(dist, ordered[start:stop]))
-    steps = np.arange(start + 1, stop + 1, dtype=float) / n
-    return np.max(steps - cdf), np.max(cdf - (steps - 1.0 / n))
+    steps = np.arange(start + 1, stop + 1, dtype=float)
+    steps /= n
+    gap = steps - cdf
+    d_plus = gap.max()
+    steps -= 1.0 / n
+    np.subtract(cdf, steps, out=gap)
+    return d_plus, gap.max()
 
 
-def ks_statistic(samples, dist: SirDistribution) -> float:
-    """Two-sided Kolmogorov-Smirnov distance between the sample set and the SIR law."""
-    arr = np.sort(np.asarray(samples, dtype=float))
-    n = arr.size
-    if n == 0:
-        raise ValueError("samples must be non-empty")
+def _ks_sorted(ordered, dist: SirDistribution) -> float:
+    """ks_statistic of a non-empty sample already sorted ascending."""
+    n = ordered.size
     # Elementwise arithmetic per chunk and an exact max: the same bits as one
     # pass over the whole sorted array.
     chunks = [(start, min(start + BLOCK_SIZE, n)) for start in range(0, n, BLOCK_SIZE)]
     with ThreadPoolExecutor(WORKERS) as pool:
-        maxima = np.array(list(pool.map(partial(_ks_chunk, arr, dist), chunks)))
+        maxima = np.array(list(pool.map(partial(_ks_chunk, ordered, dist), chunks)))
     d_plus, d_minus = np.max(maxima, axis=0).tolist()
     return max(d_plus, d_minus)
+
+
+def ks_statistic(samples, dist: SirDistribution) -> float:
+    """Two-sided Kolmogorov-Smirnov distance between the sample set and the SIR law.
+
+    Sorts a copy of samples; the caller's array is left as it was.
+    """
+    ordered = np.sort(np.asarray(samples, dtype=float))
+    if ordered.size == 0:
+        raise ValueError("samples must be non-empty")
+    return _ks_sorted(ordered, dist)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,21 @@ class TestValidate:
         assert "overflow in block 1" in err and "Traceback" not in err
         assert threading.active_count() == threads
 
+    def test_memory_is_draws_plus_few_blocks(self, monkeypatch):
+        # the row's draws are sorted in place and each worker holds a few
+        # blocks; a sorted copy alone would be another 32 blocks
+        monkeypatch.setattr(montecarlo, "WORKERS", 2)
+        block_bytes = montecarlo.BLOCK_SIZE * 8
+        spec = dataclasses.replace(parse_config(FIG2_POINT),
+                                   samples=32 * montecarlo.BLOCK_SIZE, seed=26)
+        tracemalloc.start()
+        try:
+            validate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (32 + 8) * block_bytes
+
     def test_ks_threshold_scales(self):
         assert ks_threshold(10 ** 6) == 0.005
         assert ks_threshold(10 ** 4) == pytest.approx(0.0195)
@@ -390,6 +406,15 @@ class TestCliProcess:
         assert ok.returncode == 0
         bad = run_cli("validate", "--config", str(cfg), "--corrupt-beta", "1.5")
         assert bad.returncode == 3
+
+    def test_validate_sample_count_too_large(self):
+        # 8e14 bytes of draws: more than x86-64's 128 TiB user address space
+        proc = run_cli("validate", "--config", os.path.join(CONFIG_DIR, "fig3_validate.ini"),
+                       "--samples", "100000000000000")
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert "'M': 1" in proc.stderr
+        assert "100000000000000 samples need 800000000000000 bytes" in proc.stderr
 
     def test_validate_frozen_bytes(self):
         proc = run_cli("validate", "--config", os.path.join(CONFIG_DIR, "fig3_validate.ini"),

@@ -58,6 +58,19 @@ class TestSampleSir:
         b = sample_sir(default_rng(8), scaled, size=N)
         assert two_sample_ks(a, b) < 0.005
 
+    @pytest.mark.parametrize("branches", [1, 4])
+    def test_chunked_gammas_keep_one_shot_bits(self, branches):
+        # the gammas are drawn and summed in row chunks; the one-shot draw of
+        # all of them, then the exponentials, is the same stream
+        scenario = scen(m=3, M=branches, p1=17, p2=10, s=100, t=80, n=3.5, sigma=1.5, rho=2.0)
+        size = 3 * montecarlo._GAMMA_ROWS + 5
+        rng = default_rng(27)
+        signal = rng.gamma(3.0, 1.5 / 3.0, size=(size, branches)).sum(-1)
+        link = scenario.link
+        c_geom = 10.0 ** ((link.p2_dbm - link.p1_dbm) / 10.0) * (link.s / link.t) ** link.n
+        one_shot = signal / (c_geom * rng.exponential(2.0, size=size))
+        assert np.array_equal(sample_sir(default_rng(27), scenario, size), one_shot)
+
 
 class TestEstimateBer:
     def test_interference_dominated_limit(self):
@@ -182,6 +195,15 @@ class TestKsStatistic:
         physical = sample_sir(default_rng(17), FIG2, size=N)
         inverted = inverse_transform_draws(dist, N, seed=18)
         assert two_sample_ks(physical, inverted) < 0.005
+
+    def test_input_left_unsorted(self):
+        dist = sir_distribution(FIG2)
+        draws = sample_sir(default_rng(28), FIG2, size=3 * BLOCK_SIZE + 11)
+        before = draws.copy()
+        ks = ks_statistic(draws, dist)
+        assert np.array_equal(draws, before)
+        draws.sort()
+        assert ks == montecarlo._ks_sorted(draws, dist)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
