@@ -27,11 +27,9 @@ def main() -> None:
         estimate = estimate_ber(scenario, SAMPLES, seed)
         fields = [
             label,
-            f"{scenario.fading.m:.12g}", str(scenario.branches),
-            f"{scenario.fading.sigma:.12g}", f"{scenario.interferer.rho:.12g}",
-            f"{scenario.link.p1_dbm:.12g}", f"{scenario.link.p2_dbm:.12g}",
-            f"{scenario.link.s:.12g}", f"{scenario.link.t:.12g}",
-            f"{scenario.link.n:.12g}",
+            f"{scenario.m:.12g}", str(scenario.M),
+            *(f"{getattr(scenario, key):.12g}"
+              for key in ("sigma", "rho", "p1_dbm", "p2_dbm", "s", "t", "n")),
             str(SAMPLES), str(seed),
             f"{estimate.mean:.17g}", f"{estimate.std_error:.17g}",
         ]

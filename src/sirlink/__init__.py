@@ -3,7 +3,7 @@
 Computes the bit-error-rate of a BPSK link with Nakagami-m branch fading,
 M-branch maximal-ratio combining and a single Rayleigh co-channel interferer,
 both analytically and by Monte Carlo simulation, each route validating the
-other.  Modules: `channel` (scenario types, SIR law), `ber` (both analytic
+other.  Modules: `channel` (the scenario and its SIR law), `ber` (both analytic
 routes and the quadrature under them), `montecarlo` (oracle), `cli`.
 """
 
@@ -22,9 +22,6 @@ from .ber import (
     upper_incomplete_gamma,
 )
 from .channel import (
-    FadingParams,
-    InterfererParams,
-    LinkBudget,
     Scenario,
     SingularityError,
     SirDistribution,
@@ -40,11 +37,10 @@ from .montecarlo import (
     sample_sir,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BerResult", "CROSS_CHECK_THRESHOLD", "CrossCheckError", "DEFAULT_GL_ORDER",
-    "FadingParams", "InterfererParams", "LinkBudget",
     "McEstimate", "QuadratureError", "QuadratureResult",
     "Scenario", "SingularityError", "SirDistribution",
     "ber", "ber_direct", "ber_gl", "conditional_ber", "estimate_ber",

@@ -56,6 +56,10 @@ DEFAULT_GL_ORDER = 128
 # _MAX_STEP, where the error is ~exp(-pi^2/0.25) ~ 7e-18.
 _FALL = 45.0
 _MAX_STEP = 0.25
+# A law whose rule needs more nodes is not found, before any array is sized:
+# the widest converging law (of the mpmath table, the scan and the sweep laws)
+# needs 1105, and far more means _slope's curvature has lost its digits.
+_MAX_NODES = 16384
 _MAX_NEWTON = 60
 _MAX_NEWTON_STEP = 4.0
 _EPS = float(np.finfo(float).eps)
@@ -271,7 +275,8 @@ def _direct(shape, beta):
     - the gap between the two levels;
     - both tails beyond the window, bounded through tangents of log g;
     - the rounding of log g, about eps * the size of its terms, and of the sum.
-    The bound is inf where a search failed; a NaN integrand gives a NaN BER.
+    The bound is inf where a search failed or the rule would need more than
+    _MAX_NODES nodes; a NaN integrand gives a NaN BER.
     Every step is elementwise or a per-law sum (np.add.reduceat), so no law's
     bits depend on the others in the batch.
     """
@@ -281,10 +286,11 @@ def _direct(shape, beta):
     log_g_peak = _log_g(peak, shape, log_beta, log_k)
     left, right, tail = _edges(peak, log_g_peak, width, shape, log_beta, log_k)
     step = np.minimum(_MAX_STEP, 0.5 * width)
-    below, above = np.ceil((peak - left) / step), np.ceil((right - peak) / step)
-    found = np.isfinite(below + above + tail)
-    below = np.where(found, np.maximum(below, 1.0), 1.0).astype(np.intp)
-    above = np.where(found, np.maximum(above, 1.0), 1.0).astype(np.intp)
+    below = np.maximum(np.ceil((peak - left) / step), 1.0)
+    above = np.maximum(np.ceil((right - peak) / step), 1.0)
+    found = np.isfinite(tail) & (2.0 * (below + above) + 1.0 <= _MAX_NODES)
+    below = np.where(found, below, 1.0).astype(np.intp)
+    above = np.where(found, above, 1.0).astype(np.intp)
 
     # coarse nodes peak + j*step for j in [-below, above], then the midpoints
     coarse, coarse_j, coarse_start = _ragged(below + above + 1)

@@ -1,15 +1,17 @@
-"""Link-scenario types and the analytical signal-to-interference-ratio distribution.
+"""The link scenario and the analytical signal-to-interference-ratio distribution.
 
 The desired signal fades per branch with a Nakagami-m amplitude (squared
 amplitude gamma-distributed), the single co-channel interferer is Rayleigh,
-and the M maximal-ratio-combined branches yield an SIR whose density has the
-two-parameter closed form carried by :class:`SirDistribution`: the only
-density the package evaluates (montecarlo samples the fading laws instead).
-`sir_pdf` and `sir_cdf` take scalars or arrays; `sir_pdf` evaluates the
-density in log space, and `sir_cdf` also broadcasts over many laws at once,
-as `ber`'s Gauss-Laguerre route evaluates it.
+and the M maximal-ratio-combined branches yield an SIR whose law has the
+two-parameter closed form carried by :class:`SirDistribution`.  A
+:class:`Scenario` holds the link's nine numbers flat, and `sir_distribution`
+reduces it to that law.  `sir_pdf` and `sir_cdf` take scalars or arrays;
+`sir_pdf` evaluates the density in log space, and `sir_cdf` also broadcasts
+over many laws at once, as `ber`'s Gauss-Laguerre route evaluates it.  `ber`'s
+direct route evaluates y*pdf(y) in its own log form, and montecarlo samples
+the fading laws instead of the closed form.
 
-All types are immutable after construction and all operations are pure.
+Both types are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -31,42 +33,20 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class FadingParams:
-    """Nakagami severity m (>= 0.5) and mean branch power sigma = E(h^2) > 0."""
+@dataclass(frozen=True, kw_only=True)
+class Scenario:
+    """A complete link configuration, its nine fields in the CSV's column order.
 
-    m: float
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        _require_finite(m=self.m, sigma=self.sigma)
-        if not self.m >= 0.5:
-            raise ValueError(f"Nakagami parameter m must be >= 0.5, got {self.m}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class InterfererParams:
-    """Mean interferer fading power rho = E(alpha^2) > 0."""
-
-    rho: float = 1.0
-
-    def __post_init__(self):
-        _require_finite(rho=self.rho)
-        if not self.rho > 0.0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Transmit powers (dBm), link distances (meters) and path-loss exponent.
-
-    Only the power difference p2_dbm - p1_dbm and the distance ratio s/t enter
-    the interference-limited model; absolute powers and absolute distances are
-    accepted for convenience but affect nothing else (noise is out of model).
+    Nakagami severity m >= 0.5 and branch count M >= 1; mean branch and
+    interferer fading powers sigma = E(h^2) and rho = E(alpha^2); transmit
+    powers in dBm, distances s and t in meters and path-loss exponent n.
+    Only p2_dbm - p1_dbm and s/t enter the interference-limited model.
     """
 
+    m: float
+    M: int = 1
+    sigma: float = 1.0
+    rho: float = 1.0
     p1_dbm: float
     p2_dbm: float
     s: float
@@ -74,6 +54,15 @@ class LinkBudget:
     n: float
 
     def __post_init__(self):
+        # fading, interferer, link, then M: the order of a bad config's first error
+        _require_finite(m=self.m, sigma=self.sigma)
+        if not self.m >= 0.5:
+            raise ValueError(f"Nakagami parameter m must be >= 0.5, got {self.m}")
+        if not self.sigma > 0.0:
+            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        _require_finite(rho=self.rho)
+        if not self.rho > 0.0:
+            raise ValueError(f"rho must be > 0, got {self.rho}")
         _require_finite(p1_dbm=self.p1_dbm, p2_dbm=self.p2_dbm, s=self.s, t=self.t, n=self.n)
         if not self.s > 0.0:
             raise ValueError(f"source-receiver distance s must be > 0, got {self.s}")
@@ -81,20 +70,8 @@ class LinkBudget:
             raise ValueError(f"interferer-receiver distance t must be > 0, got {self.t}")
         if not self.n > 0.0:
             raise ValueError(f"path-loss exponent n must be > 0, got {self.n}")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A complete link configuration: fading, interferer, geometry, diversity order."""
-
-    fading: FadingParams
-    interferer: InterfererParams
-    link: LinkBudget
-    branches: int = 1
-
-    def __post_init__(self):
-        if not (isinstance(self.branches, int) and self.branches >= 1):
-            raise ValueError(f"branches must be an integer >= 1, got {self.branches}")
+        if not (isinstance(self.M, int) and self.M >= 1):
+            raise ValueError(f"branches must be an integer >= 1, got {self.M}")
 
 
 @dataclass(frozen=True)
@@ -121,19 +98,16 @@ class SirDistribution:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
 
-def interference_scale(link: LinkBudget, rho: float) -> float:
+def interference_scale(scenario: Scenario) -> float:
     """Scale c = (P2/P1)_linear * (s/t)^n * rho multiplying the interferer power."""
-    if not rho > 0.0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    return 10.0 ** ((link.p2_dbm - link.p1_dbm) / 10.0) * (link.s / link.t) ** link.n * rho
+    return (10.0 ** ((scenario.p2_dbm - scenario.p1_dbm) / 10.0)
+            * (scenario.s / scenario.t) ** scenario.n * scenario.rho)
 
 
 def sir_distribution(scenario: Scenario) -> SirDistribution:
     """Reduce a scenario to the (shape, beta) parameters of its SIR law."""
-    fading = scenario.fading
-    c = interference_scale(scenario.link, scenario.interferer.rho)
-    return SirDistribution(shape=scenario.branches * fading.m,
-                           beta=fading.m / fading.sigma * c)
+    return SirDistribution(shape=scenario.M * scenario.m,
+                           beta=scenario.m / scenario.sigma * interference_scale(scenario))
 
 
 def sir_pdf(dist: SirDistribution, y):

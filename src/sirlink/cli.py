@@ -23,19 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .ber import ber, ber_batch  # noqa: F401  (perfbench/test_harness.py reads cli.ber)
-from .channel import (
-    FadingParams,
-    InterfererParams,
-    LinkBudget,
-    Scenario,
-    SirDistribution,
-    sir_cdf,
-    sir_distribution,
-    sir_pdf,
-)
+from .channel import Scenario, SirDistribution, sir_cdf, sir_distribution, sir_pdf
 from .montecarlo import _ks_sorted, derived_seed, estimate_with_draws
 
-SCENARIO_KEYS = ("m", "M", "sigma", "rho", "p1_dbm", "p2_dbm", "s", "t", "n")
+SCENARIO_KEYS = tuple(field.name for field in dataclasses.fields(Scenario))
 AXIS_NAMES = ("s", "t", "M", "m", "n", "p1_dbm", "p2_dbm", "sigma", "rho")
 SWEEP_KEYS = ("axis", "values", "second_axis", "second_values")
 VALIDATE_KEYS = ("samples", "seed")
@@ -107,24 +98,9 @@ HEADER = ",".join(_SWEEP_COLUMNS)
 HEADER_VALIDATE = ",".join(_COLUMNS[:-1] + ("pass",))
 
 
-def _scenario_params(scenario: Scenario) -> dict:
-    return {
-        "m": scenario.fading.m, "M": scenario.branches,
-        "sigma": scenario.fading.sigma, "rho": scenario.interferer.rho,
-        "p1_dbm": scenario.link.p1_dbm, "p2_dbm": scenario.link.p2_dbm,
-        "s": scenario.link.s, "t": scenario.link.t, "n": scenario.link.n,
-    }
-
-
 def _build_scenario(params: dict) -> Scenario:
     try:
-        return Scenario(
-            fading=FadingParams(m=params["m"], sigma=params["sigma"]),
-            interferer=InterfererParams(rho=params["rho"]),
-            link=LinkBudget(p1_dbm=params["p1_dbm"], p2_dbm=params["p2_dbm"],
-                            s=params["s"], t=params["t"], n=params["n"]),
-            branches=params["M"],
-        )
+        return Scenario(**params)
     except ValueError as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
@@ -247,7 +223,7 @@ def _fmt(value) -> str:
 
 def _grid_points(spec: SweepSpec):
     """Scenario parameter dicts in lexicographic (second value, axis value) order."""
-    base = _scenario_params(spec.base)
+    base = {key: getattr(spec.base, key) for key in SCENARIO_KEYS}
     if spec.axis is None:
         yield dict(base)
         return

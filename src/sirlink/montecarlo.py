@@ -72,19 +72,18 @@ def sample_sir(rng: np.random.Generator, scenario: Scenario, size: int):
     branch powers (squared Nakagami amplitudes); the interference power is
     the geometric link factor times an exponential of mean rho.
     """
-    m = scenario.fading.m
-    sigma = scenario.fading.sigma
-    link = scenario.link
-    c_geom = 10.0 ** ((link.p2_dbm - link.p1_dbm) / 10.0) * (link.s / link.t) ** link.n
+    m, sigma = scenario.m, scenario.sigma
+    c_geom = 10.0 ** ((scenario.p2_dbm - scenario.p1_dbm) / 10.0) \
+        * (scenario.s / scenario.t) ** scenario.n
 
     # numpy draws gammas one after another in C order, so row chunks summed
     # straight into signal use the stream as one (size, M) draw would.
     signal = np.empty(size)
     for start in range(0, size, _GAMMA_ROWS):
         stop = min(start + _GAMMA_ROWS, size)
-        np.sum(rng.gamma(m, sigma / m, size=(stop - start, scenario.branches)),
+        np.sum(rng.gamma(m, sigma / m, size=(stop - start, scenario.M)),
                axis=-1, out=signal[start:stop])
-    interference = _interferer_power(rng, scenario.interferer.rho, size)
+    interference = _interferer_power(rng, scenario.rho, size)
     interference *= c_geom
     signal /= interference
     return signal

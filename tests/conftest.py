@@ -4,13 +4,7 @@ import os
 
 import mpmath
 
-from sirlink import (
-    FadingParams,
-    InterfererParams,
-    LinkBudget,
-    Scenario,
-    SirDistribution,
-)
+from sirlink import Scenario, SirDistribution
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_PATH = os.path.join(DATA_DIR, "golden_ber.csv")
@@ -19,12 +13,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def scen(m, M, p1, p2, s, t, n, sigma=1.0, rho=1.0):
-    return Scenario(
-        fading=FadingParams(m=m, sigma=sigma),
-        interferer=InterfererParams(rho=rho),
-        link=LinkBudget(p1_dbm=p1, p2_dbm=p2, s=s, t=t, n=n),
-        branches=M,
-    )
+    return Scenario(m=m, M=M, sigma=sigma, rho=rho, p1_dbm=p1, p2_dbm=p2, s=s, t=t, n=n)
 
 
 # The three published distance/diversity/interference studies, at their fixed

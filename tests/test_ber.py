@@ -3,6 +3,7 @@
 import csv
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,27 @@ class TestBerDirect:
                            "tolerance 1e-10")
         assert math.isnan(info.value.error_estimate)
 
+    # Shape 1e25 at beta 1e-20, and 1e17 and 1e18 at beta ~1e-300: _slope's
+    # curvature has lost its digits there, so the rule would need ~1e12 nodes
+    # (a MemoryError), an intp-overflowing count (an IndexError in reduceat)
+    # and 14 million nodes (1.35 GB).  Such a law is not found before any
+    # array is sized.
+    @pytest.mark.parametrize("scenario", [
+        scen(m=1e25, M=1, p1=0, p2=-450, s=1, t=1, n=3),
+        scen(m=1e17, M=1, p1=0, p2=-3170, s=1, t=1, n=3),
+        scen(m=1e18, M=1, p1=0, p2=-3180, s=1, t=1, n=3),
+    ], ids=["shape-1e25", "shape-1e17", "shape-1e18"])
+    def test_rule_beyond_node_cap_is_not_found(self, scenario):
+        dist = sir_distribution(scenario)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError, match="relative error bound inf exceeds"):
+                ber_direct(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_nan_integrand_names_route(self, monkeypatch):
         monkeypatch.setattr(special, "log_ndtr", lambda x: np.full_like(x, math.nan))
         with pytest.raises(QuadratureError) as info:
@@ -183,6 +205,14 @@ class TestBerBatch:
         assert isinstance(outcomes[1], CrossCheckError)
         assert isinstance(outcomes[2], QuadratureError)
         assert ber_batch([]) == []
+
+    def test_law_beyond_node_cap_leaves_its_pass(self):
+        # the failing law gets a small rule, so its neighbours keep their bits
+        law = sir_distribution(FIG2)
+        outcomes = ber_batch([law, SirDistribution(shape=1e17, beta=1e-300), law])
+        assert isinstance(outcomes[1], QuadratureError)
+        alone = self._bits(ber_batch([law])[0])
+        assert self._bits(outcomes[0]) == self._bits(outcomes[2]) == alone
 
     def test_gl_route_is_its_one_law_case(self):
         # a law's Gauss-Laguerre value in a batch is ber_gl's, to the bit:

@@ -10,9 +10,6 @@ from scipy import integrate
 
 from conftest import CHANNEL_GRID, FIG2, PDF_ORACLE_POINTS, closed_form_pdf, scen
 from sirlink import (
-    FadingParams,
-    InterfererParams,
-    LinkBudget,
     Scenario,
     SingularityError,
     SirDistribution,
@@ -30,11 +27,11 @@ def sir_pdf_physical_oracle(scenario, y):
     the exponential interference-power density with mean c.  Independent of
     the closed form under test.
     """
-    m = scenario.fading.m
-    sigma = scenario.fading.sigma
-    mm = scenario.branches * m
+    m = scenario.m
+    sigma = scenario.sigma
+    mm = scenario.M * m
     rate = m / sigma
-    c = interference_scale(scenario.link, scenario.interferer.rho)
+    c = interference_scale(scenario)
     log_norm = mm * math.log(rate) - math.lgamma(mm)
 
     def integrand(z):
@@ -46,43 +43,64 @@ def sir_pdf_physical_oracle(scenario, y):
     return value
 
 
+def scenario_with(**fields):
+    """A valid unit-power scenario at m = 1 with the given fields replaced."""
+    return Scenario(**{"m": 1.0, "p1_dbm": 10, "p2_dbm": 10, "s": 1.0, "t": 1.0, "n": 2.0,
+                       **fields})
+
+
 class TestTypes:
     def test_fading_invariants(self):
         with pytest.raises(ValueError):
-            FadingParams(m=0.3)
+            scenario_with(m=0.3)
         with pytest.raises(ValueError):
-            FadingParams(m=1.0, sigma=0.0)
-        FadingParams(m=0.5)  # boundary is legal
+            scenario_with(m=1.0, sigma=0.0)
+        scenario_with(m=0.5)  # boundary is legal
         for kwargs in ({"m": math.inf}, {"m": 1.0, "sigma": math.inf}, {"m": math.nan}):
             with pytest.raises(ValueError, match="must be finite"):
-                FadingParams(**kwargs)
+                scenario_with(**kwargs)
 
     def test_interferer_invariants(self):
         with pytest.raises(ValueError):
-            InterfererParams(rho=-1.0)
+            scenario_with(rho=-1.0)
         with pytest.raises(ValueError, match="rho must be finite"):
-            InterfererParams(rho=math.inf)
+            scenario_with(rho=math.inf)
 
     def test_link_invariants(self):
         with pytest.raises(ValueError):
-            LinkBudget(p1_dbm=10, p2_dbm=10, s=0.0, t=1.0, n=2.0)
+            scenario_with(p1_dbm=10, p2_dbm=10, s=0.0, t=1.0, n=2.0)
         with pytest.raises(ValueError):
-            LinkBudget(p1_dbm=10, p2_dbm=10, s=1.0, t=-2.0, n=2.0)
+            scenario_with(p1_dbm=10, p2_dbm=10, s=1.0, t=-2.0, n=2.0)
         with pytest.raises(ValueError):
-            LinkBudget(p1_dbm=10, p2_dbm=10, s=1.0, t=1.0, n=0.0)
+            scenario_with(p1_dbm=10, p2_dbm=10, s=1.0, t=1.0, n=0.0)
         with pytest.raises(ValueError):
-            LinkBudget(p1_dbm=math.inf, p2_dbm=10, s=1.0, t=1.0, n=2.0)
+            scenario_with(p1_dbm=math.inf, p2_dbm=10, s=1.0, t=1.0, n=2.0)
         for key in ("s", "t", "n"):
             kwargs = {"p1_dbm": 10, "p2_dbm": 10, "s": 1.0, "t": 1.0, "n": 2.0, key: math.inf}
             with pytest.raises(ValueError, match=f"^{key} must be finite"):
-                LinkBudget(**kwargs)
+                scenario_with(**kwargs)
 
     def test_scenario_invariants(self):
-        link = LinkBudget(p1_dbm=10, p2_dbm=10, s=1.0, t=1.0, n=2.0)
         with pytest.raises(ValueError):
-            Scenario(FadingParams(m=1.0), InterfererParams(), link, branches=0)
+            scenario_with(m=1.0, M=0)
         with pytest.raises(ValueError):
-            Scenario(FadingParams(m=1.0), InterfererParams(), link, branches=2.0)
+            scenario_with(m=1.0, M=2.0)
+
+    def test_keyword_only(self):
+        with pytest.raises(TypeError):
+            Scenario(1.0, 1, 1.0, 1.0, 10, 10, 1.0, 1.0, 2.0)
+        defaults = scenario_with()
+        assert (defaults.M, defaults.sigma, defaults.rho) == (1, 1.0, 1.0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"m": 0.3, "rho": math.nan}, "Nakagami parameter m must be >= 0.5"),
+        ({"s": 0.0, "M": 0}, "source-receiver distance s must be > 0"),
+        ({"m": 0.3, "sigma": math.nan}, "sigma must be finite"),
+    ])
+    def test_first_error_order(self, fields, message):
+        # fading, interferer, link, then branches, as the config's first error
+        with pytest.raises(ValueError, match=f"^{message}"):
+            scenario_with(**fields)
 
     def test_distribution_invariants(self):
         with pytest.raises(ValueError):
@@ -101,16 +119,16 @@ class TestTypes:
 
 class TestInterferenceScale:
     def test_seven_db_gap(self):
-        link = LinkBudget(p1_dbm=17, p2_dbm=10, s=50.0, t=50.0, n=3.5)
-        assert interference_scale(link, 1.0) == pytest.approx(10.0 ** -0.7, rel=1e-14)
+        scenario = scenario_with(p1_dbm=17, p2_dbm=10, s=50.0, t=50.0, n=3.5)
+        assert interference_scale(scenario) == pytest.approx(10.0 ** -0.7, rel=1e-14)
 
     def test_identity_case(self):
-        link = LinkBudget(p1_dbm=12, p2_dbm=12, s=70.0, t=70.0, n=2.7)
-        assert interference_scale(link, 1.0) == pytest.approx(1.0, rel=1e-15)
+        scenario = scenario_with(p1_dbm=12, p2_dbm=12, s=70.0, t=70.0, n=2.7)
+        assert interference_scale(scenario) == pytest.approx(1.0, rel=1e-15)
 
     def test_nine_db_gap(self):
-        link = LinkBudget(p1_dbm=15, p2_dbm=6, s=90.0, t=90.0, n=3.0)
-        assert interference_scale(link, 1.0) == pytest.approx(10.0 ** -0.9, rel=1e-14)
+        scenario = scenario_with(p1_dbm=15, p2_dbm=6, s=90.0, t=90.0, n=3.0)
+        assert interference_scale(scenario) == pytest.approx(10.0 ** -0.9, rel=1e-14)
 
 
 class TestSirDistribution:
@@ -146,10 +164,10 @@ class TestSirPdf:
         for scenario, y in PDF_ORACLE_POINTS:
             if y == 0.0:
                 continue
-            m = scenario.fading.m
-            sigma = scenario.fading.sigma
-            mm = scenario.branches * m
-            c = interference_scale(scenario.link, scenario.interferer.rho)
+            m = scenario.m
+            sigma = scenario.sigma
+            mm = scenario.M * m
+            c = interference_scale(scenario)
             verbatim = (1.0 / c) * (m / sigma) ** mm * mm * y ** (mm - 1.0) \
                 * (1.0 / c + (m / sigma) * y) ** -(mm + 1.0)
             assert sir_pdf(sir_distribution(scenario), y) == \

@@ -146,7 +146,7 @@ class TestParseConfig:
     def test_minimal_point_spec(self):
         spec = parse_config(MINIMAL)
         assert spec.axis is None and spec.values is None
-        assert spec.base.fading.sigma == 1.0 and spec.base.interferer.rho == 1.0
+        assert spec.base.sigma == 1.0 and spec.base.rho == 1.0
         assert spec.samples == 10 ** 6
 
     def test_two_axis_spec(self):
@@ -155,7 +155,7 @@ class TestParseConfig:
         assert spec.second_axis == "s" and spec.second_values == (20.0, 40.0)
         assert spec.samples == 50000 and spec.seed == 7
         # swept parameters took their base value from the first axis value
-        assert spec.base.link.t == 60.0 and spec.base.link.s == 20.0
+        assert spec.base.t == 60.0 and spec.base.s == 20.0
 
     def test_invariant_violation_named(self):
         with pytest.raises(ConfigError, match="m must be >= 0.5"):
@@ -463,7 +463,19 @@ class TestCliProcess:
         # order-128 GL rule is 8.1e-7 away, so the cross-check refuses it
         ("point", "--m 1e8 --M 1 --p1_dbm 0 --p2_dbm 0 --s 1 --t 1 --n 3",
          "BER routes disagree: direct=0.0676676421258"),
-    ], ids=["shape-0.5", "shape-320", "shape-100", "shape-1e8"])
+        # shapes 1e25, 1e17 and 1e18 at tiny beta: _slope's curvature has lost
+        # its digits, so the rule would need far more nodes than _MAX_NODES
+        ("point", "--m 1e25 --M 1 --p1_dbm 0 --p2_dbm -450 --s 1 --t 1 --n 3",
+         "direct route at shape=1e+25, beta=1.0000000000000001e-20: quadrature did not "
+         "converge: relative error bound inf"),
+        ("point", "--m 1e17 --M 1 --p1_dbm 0 --p2_dbm -3170 --s 1 --t 1 --n 3",
+         "direct route at shape=1e+17, beta=1.0000002306925374e-300: quadrature did not "
+         "converge: relative error bound inf"),
+        ("point", "--m 1e18 --M 1 --p1_dbm 0 --p2_dbm -3180 --s 1 --t 1 --n 3",
+         "direct route at shape=1e+18, beta=9.999987484955999e-301: quadrature did not "
+         "converge: relative error bound inf"),
+    ], ids=["shape-0.5", "shape-320", "shape-100", "shape-1e8", "nodes-1e25", "nodes-1e17",
+            "nodes-1e18"])
     def test_numerical_failure_exit_code(self, command, flags, message):
         proc = run_cli(command, *flags.split())
         assert proc.returncode == 2

@@ -66,8 +66,8 @@ class TestSampleSir:
         size = 3 * montecarlo._GAMMA_ROWS + 5
         rng = default_rng(27)
         signal = rng.gamma(3.0, 1.5 / 3.0, size=(size, branches)).sum(-1)
-        link = scenario.link
-        c_geom = 10.0 ** ((link.p2_dbm - link.p1_dbm) / 10.0) * (link.s / link.t) ** link.n
+        c_geom = 10.0 ** ((scenario.p2_dbm - scenario.p1_dbm) / 10.0) \
+            * (scenario.s / scenario.t) ** scenario.n
         one_shot = signal / (c_geom * rng.exponential(2.0, size=size))
         assert np.array_equal(sample_sir(default_rng(27), scenario, size), one_shot)
 

@@ -11,7 +11,6 @@ from conftest import REFERENCE_PATH
 
 PUBLIC_NAMES = [
     "BerResult", "CROSS_CHECK_THRESHOLD", "CrossCheckError", "DEFAULT_GL_ORDER",
-    "FadingParams", "InterfererParams", "LinkBudget",
     "McEstimate", "QuadratureError", "QuadratureResult",
     "Scenario", "SingularityError", "SirDistribution",
     "ber", "ber_direct", "ber_gl", "conditional_ber", "estimate_ber",
@@ -20,6 +19,7 @@ PUBLIC_NAMES = [
     "sir_distribution", "sir_pdf", "upper_incomplete_gamma",
 ]
 SCRIPTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+README_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def test_public_surface():
@@ -27,6 +27,15 @@ def test_public_surface():
     assert sirlink.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(sirlink, name) is not None
+
+
+def test_readme_library_use_runs(capsys):
+    # the README's example is the documented API, so it must keep running
+    with open(README_PATH, encoding="utf-8") as handle:
+        section = handle.read().split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("6.0 ")
 
 
 def test_generate_golden_imports(monkeypatch):
