@@ -275,8 +275,10 @@ def _direct(shape, beta):
     - the gap between the two levels;
     - both tails beyond the window, bounded through tangents of log g;
     - the rounding of log g, about eps * the size of its terms, and of the sum.
-    The bound is inf where a search failed or the rule would need more than
-    _MAX_NODES nodes; a NaN integrand gives a NaN BER.
+    The bound is inf where a search failed, the rule would need more than
+    _MAX_NODES nodes or its sum is not finite (exp(log g - log g*) overflows
+    where the rounding of log g, ~eps*|log g*|, passes ~709); a NaN integrand
+    also gives a NaN BER.
     Every step is elementwise or a per-law sum (np.add.reduceat), so no law's
     bits depend on the others in the batch.
     """
@@ -308,7 +310,8 @@ def _direct(shape, beta):
     u = peak + log_beta
     terms = np.abs(log_k) + np.abs((shape + 1.0) * special.log_expit(u)) + np.abs(u)
     rounding = _EPS * (2.0 * (terms + np.abs(log_g_peak)) + nodes)
-    bound = np.where(found, np.abs(coarse_sum - mid_sum) / total + tails + rounding, np.inf)
+    bound = np.where(found & np.isfinite(total),
+                     np.abs(coarse_sum - mid_sum) / total + tails + rounding, np.inf)
     # the BER is at most 1/2, so clipping there only moves a value towards it
     log_ber = np.minimum(log_g_peak + _log(0.5 * step * total), -math.log(2.0))
     return log_ber, bound, nodes
@@ -320,7 +323,10 @@ def _route(dist: SirDistribution) -> str:
 
 def _direct_result(dist: SirDistribution, log_ber: float, bound: float,
                    nodes: int) -> QuadratureResult:
-    """One law's row of _direct as a QuadratureResult; a NaN or a loose bound raises."""
+    """One law's row of _direct as a QuadratureResult; a NaN or a loose bound raises.
+
+    A law whose rule was not found (bound inf) raises without an estimate.
+    """
     value, bound = math.exp(log_ber), float(bound)
     if math.isnan(value):
         raise QuadratureError(f"{_route(dist)}: integrand produced NaN")
@@ -329,7 +335,8 @@ def _direct_result(dist: SirDistribution, log_ber: float, bound: float,
     if not (bound <= DEFAULT_REL_TOL or (value == 0.0 and log_ber + bound < _LOG_UNDERFLOW)):
         raise QuadratureError(
             f"{_route(dist)}: quadrature did not converge: relative error bound {bound:.1e} "
-            f"exceeds the tolerance {DEFAULT_REL_TOL:.0e}", value, bound * value)
+            f"exceeds the tolerance {DEFAULT_REL_TOL:.0e}",
+            *((value, bound * value) if bound < math.inf else ()))
     return QuadratureResult(value=value, abs_error_estimate=bound * value,
                             evaluations=int(nodes))
 

@@ -71,7 +71,7 @@ class Scenario:
         if not self.n > 0.0:
             raise ValueError(f"path-loss exponent n must be > 0, got {self.n}")
         if not (isinstance(self.M, int) and self.M >= 1):
-            raise ValueError(f"branches must be an integer >= 1, got {self.M}")
+            raise ValueError(f"M must be an integer >= 1, got {self.M}")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Configuration is a flat INI document with [scenario], [sweep] and [validate]
 sections; command-line flags mirror the config keys and override them.
-Output is plot-ready CSV with reals printed to 12 significant digits, so
-identical inputs produce byte-identical files.
+Output is plot-ready CSV: M and pass print as integers, and every other
+column, as every column of `dist`, prints with %.12g (12 significant
+digits), so identical inputs produce byte-identical files.
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure
 (cross-check, quadrature or overflow), 3 Monte Carlo validation failure.
@@ -16,6 +17,7 @@ import configparser
 import dataclasses
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -96,6 +98,14 @@ _COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow))
 _SWEEP_COLUMNS = _COLUMNS[:_COLUMNS.index("mc_mean")]
 HEADER = ",".join(_SWEEP_COLUMNS)
 HEADER_VALIDATE = ",".join(_COLUMNS[:-1] + ("pass",))
+# Each command's rows print with one %-format: integers for M and pass,
+# 12 significant digits for every other column.
+_CSV = {validation: (header + "\n",
+                     ",".join("%d" if name in ("M", "passed") else "%.12g"
+                              for name in columns) + "\n",
+                     operator.attrgetter(*columns))
+        for validation, header, columns in ((False, HEADER, _SWEEP_COLUMNS),
+                                            (True, HEADER_VALIDATE, _COLUMNS))}
 
 
 def _build_scenario(params: dict) -> Scenario:
@@ -213,14 +223,6 @@ def parse_config(text: str) -> SweepSpec:
     return _build_spec(_read_sections(text))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.12g}"
-
-
 def _grid_points(spec: SweepSpec):
     """Scenario parameter dicts in lexicographic (second value, axis value) order."""
     base = {key: getattr(spec.base, key) for key in SCENARIO_KEYS}
@@ -237,50 +239,50 @@ def _grid_points(spec: SweepSpec):
             yield point
 
 
-def _analytic_rows(points: list, corrupt_beta: float = 1.0) -> list:
-    """Per grid point in order, its analytic SweepRow or the SweepPointError it raised.
+def _evaluated(points, corrupt_beta: float = 1.0):
+    """(point, scenario, law, BerResult) of each grid point, in grid order.
 
-    Every law is built first and all are evaluated in one ber_batch call; the
-    list ends at the first point whose law cannot be built, so a caller that
-    raises the first error still fails at the grid's first failing point.
+    Every law is built first and all are evaluated in one ber_batch call;
+    building stops at the first point whose law cannot be built.  Iteration
+    raises the SweepPointError of the first failing point when it reaches
+    that point, so a caller's own failure at an earlier point comes first.
     Each law's beta is scaled by corrupt_beta.
     """
-    laws, failed = [], []
+    built, failure = [], None
     for point in points:
         try:
-            dist = sir_distribution(_build_scenario(point))
-            laws.append(SirDistribution(shape=dist.shape, beta=dist.beta * corrupt_beta))
+            scenario = _build_scenario(point)
+            law = sir_distribution(scenario)
+            if corrupt_beta != 1.0:
+                law = SirDistribution(shape=law.shape, beta=law.beta * corrupt_beta)
         except (ValueError, ArithmeticError) as exc:
-            failed.append(SweepPointError(point, exc))
+            failure = SweepPointError(point, exc)
             break
-    rows = [SweepPointError(point, result) if isinstance(result, Exception) else
-            SweepRow(**point, shape=dist.shape, beta=dist.beta,
-                     ber=result.ber, quad_err=result.quad_error)
-            for point, dist, result in zip(points, laws, ber_batch(laws))]
-    return rows + failed
-
-
-def _raise_failure(row) -> None:
-    if isinstance(row, SweepPointError):
-        raise row from row.cause
+        built.append((point, scenario, law))
+    for (point, scenario, law), result in zip(built, ber_batch([law for *_, law in built])):
+        if isinstance(result, Exception):
+            raise SweepPointError(point, result) from result
+        yield point, scenario, law, result
+    if failure is not None:
+        raise failure from failure.cause
 
 
 def run_sweep(spec: SweepSpec) -> list:
     """Evaluate the analytical BER at every grid point of the spec."""
-    rows = _analytic_rows(list(_grid_points(spec)))
-    for row in rows:
-        _raise_failure(row)
-    return rows
+    return [SweepRow(**point, shape=law.shape, beta=law.beta, ber=result.ber,
+                     quad_err=result.quad_error)
+            for point, _, law, result in _evaluated(_grid_points(spec))]
 
 
 def ks_threshold(samples: int) -> float:
     return max(KS_BASE_THRESHOLD, 1.95 / math.sqrt(samples))
 
 
-def _mc_columns(point: dict, dist: SirDistribution, samples: int, seed: int) -> tuple:
+def _mc_columns(point: dict, scenario: Scenario, dist: SirDistribution, samples: int,
+                seed: int) -> tuple:
     """(estimate, KS statistic) of one row's draws, which are freed on return."""
     try:
-        estimate, draws = estimate_with_draws(_build_scenario(point), samples, seed)
+        estimate, draws = estimate_with_draws(scenario, samples, seed)
         draws.sort()  # this row's own array: no sorted copy
         return estimate, _ks_sorted(draws, dist)
     except MemoryError:
@@ -305,25 +307,22 @@ def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     if spec.samples < 10 ** 4:
         raise ValueError(f"validation needs at least 1e4 samples, got {spec.samples}")
     threshold = ks_threshold(spec.samples)
-    points = list(_grid_points(spec))
     rows = []
-    for index, (point, row) in enumerate(zip(points, _analytic_rows(points, corrupt_beta))):
-        _raise_failure(row)
-        estimate, ks = _mc_columns(point, SirDistribution(shape=row.shape, beta=row.beta),
-                                   spec.samples, derived_seed(spec.seed, index, 0))
-        ok = abs(row.ber - estimate.mean) <= 3.0 * estimate.std_error and ks < threshold
-        rows.append(dataclasses.replace(row, mc_mean=estimate.mean,
-                                        mc_std_error=estimate.std_error,
-                                        ks_stat=ks, passed=ok))
+    for index, (point, scenario, law, result) in enumerate(
+            _evaluated(_grid_points(spec), corrupt_beta)):
+        estimate, ks = _mc_columns(point, scenario, law, spec.samples,
+                                   derived_seed(spec.seed, index, 0))
+        ok = abs(result.ber - estimate.mean) <= 3.0 * estimate.std_error and ks < threshold
+        rows.append(SweepRow(**point, shape=law.shape, beta=law.beta, ber=result.ber,
+                             quad_err=result.quad_error, mc_mean=estimate.mean,
+                             mc_std_error=estimate.std_error, ks_stat=ks, passed=ok))
     return rows
 
 
 def rows_to_csv(rows: list, validation: bool = False) -> str:
     """Render sweep rows as CSV text with the fixed documented header."""
-    columns = _COLUMNS if validation else _SWEEP_COLUMNS
-    lines = [HEADER_VALIDATE if validation else HEADER]
-    lines += [",".join(_fmt(getattr(row, name)) for name in columns) for row in rows]
-    return "\n".join(lines) + "\n"
+    header, line, fields = _CSV[bool(validation)]
+    return "".join([header] + [line % fields(row) for row in rows])
 
 
 def _law_on_grid(dist: SirDistribution, grid) -> tuple:
@@ -434,7 +433,7 @@ def main(argv=None) -> int:
             grid = np.geomspace(args.ymin, args.ymax, args.points)
             pdf, cdf = _law_on_grid(sir_distribution(spec.base), grid)
             columns = zip(grid.tolist(), pdf.tolist(), cdf.tolist())
-            text = "\n".join(["y,pdf,cdf"] + [",".join(map(_fmt, row)) for row in columns]) + "\n"
+            text = "".join(["y,pdf,cdf\n"] + ["%.12g,%.12g,%.12g\n" % row for row in columns])
         _write_output(text, args.out)
         return 0
     except ConfigError as exc:

@@ -96,9 +96,10 @@ class TestTypes:
         ({"m": 0.3, "rho": math.nan}, "Nakagami parameter m must be >= 0.5"),
         ({"s": 0.0, "M": 0}, "source-receiver distance s must be > 0"),
         ({"m": 0.3, "sigma": math.nan}, "sigma must be finite"),
+        ({"M": 0}, "M must be an integer >= 1, got 0"),
     ])
     def test_first_error_order(self, fields, message):
-        # fading, interferer, link, then branches, as the config's first error
+        # fading, interferer, link, then M, as the config's first error
         with pytest.raises(ValueError, match=f"^{message}"):
             scenario_with(**fields)
 

@@ -137,6 +137,75 @@ m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err
 }
 
 
+# `point` output, frozen like the sweeps: the stock validate scenario, and a
+# point whose BER underflows, so that its ber and quad_err both print 0.
+POINT_FROZEN = {
+    "fig3_validate.ini": (["--config", os.path.join(CONFIG_DIR, "fig3_validate.ini")], """\
+m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err
+2,1,1,1,15,6,90,90,3,2,0.251785082359,0.0103795784026,6.30099366434e-16
+"""),
+    "underflow": ("--m 5 --M 10 --p1_dbm 0 --p2_dbm -87 --s 1 --t 1 --n 3".split(), """\
+m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err
+5,10,1,1,0,-87,1,1,3,50,9.97631157484e-09,0,0
+"""),
+}
+
+# `dist --config configs/fig2_sweep.ini --points 50`, frozen.
+DIST_FIG2_50 = """\
+y,pdf,cdf
+0.01,2.64688982718e-11,4.43788924291e-14
+0.0116779862374,5.70876130702e-11,1.11888083461e-13
+0.013637536256,1.22982316541e-10,2.81811136545e-13
+0.015925896071,2.64578664974e-10,7.08970109323e-13
+0.0185982395135,5.68304954526e-10,1.78118940153e-12
+0.0217189985078,1.21845655498e-09,4.46794960806e-12
+0.0253634165663,2.6068148594e-09,1.11869217728e-11
+0.0296193629595,5.56327779047e-09,2.79503712591e-11
+0.0345894513,1.18385063295e-08,6.96609457226e-11
+0.040393513624,2.51076907828e-08,1.73118265011e-10
+0.0471714896181,5.30429348482e-08,4.28793928307e-10
+0.0550868006556,1.11555613233e-07,1.05797895206e-09
+0.0643302899917,2.33394751233e-07,2.59875096571e-09
+0.075124824117,4.85372128627e-07,6.35053176962e-09
+0.0877306662124,1.00240122941e-06,1.54265754732e-08
+0.102451751262,2.05369385128e-06,3.72179468595e-08
+0.119643014124,4.16909569939e-06,8.90875572934e-08
+0.139718947234,8.37491387532e-06,2.11332621273e-07
+0.163163594289,1.66227516276e-05,4.96186839057e-07
+0.190542220855,3.25454135574e-05,1.15142647101e-06
+0.222514943279,6.27405468644e-05,2.63669564033e-06
+0.259852644522,0.000118853961517,5.94806059358e-06
+0.303455560647,0.000220776457316,1.31941841491e-05
+0.354374986089,0.00040120972611,2.87229703751e-05
+0.413838621042,0.000711583946618,6.12380424476e-05
+0.483280172103,0.00122868365776,0.00012759553104
+0.564373919861,0.00206027248575,0.000259261929335
+0.659075086887,0.00334661321006,0.000512637380948
+0.769666979407,0.00525354948708,0.000984390289692
+0.898816039287,0.00795269853859,0.00183228845209
+1.04963613367,0.0115864576036,0.00330042530862
+1.22576363233,0.0162205937446,0.00574513429145
+1.43144508286,0.021794307994,0.00965471060064
+1.67163959772,0.0280839539621,0.0156535058657
+1.9521384216,0.0346979620945,0.024480734815
+2.2797045621,0.0411140461506,0.0369378848328
+2.66223585014,0.0467562920388,0.0538060668926
+3.10895536186,0.0510945544818,0.0757440974342
+3.63063379284,0.0537390138195,0.10318607079
+4.23984914658,0.0545037296766,0.136260157865
+4.95128999823,0.0534240749156,0.174746675541
+5.78210964566,0.0507285399856,0.218084247495
+6.7523396865,0.0467785619542,0.265421492688
+7.88537299291,0.0419961167671,0.315702040938
+9.20852772877,0.0367972809551,0.367765487958
+10.7537060083,0.0315435026157,0.420446810211
+12.5581630766,0.0265146195514,0.472660605105
+14.6654055575,0.0219015468208,0.523462269531
+17.1262404266,0.0178132144754,0.572083931344
+20,0.0142915732632,0.617947328616
+"""
+
+
 def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "sirlink", *args],
                           capture_output=True, text=True, cwd=cwd)
@@ -270,6 +339,27 @@ class TestValidate:
                                          samples=10 ** 4, seed=0))
         assert info.value.point["m"] == 0.5
         assert isinstance(info.value.cause, CrossCheckError)
+
+    @pytest.mark.parametrize("config", [
+        MINIMAL + "\n[sweep]\naxis = s\nvalues = 90, inf\n",
+        MINIMAL.replace("m = 2", "m = 4").replace("M = 1", "M = 25")
+        + "\n[sweep]\naxis = p2_dbm\nvalues = 6, 39\n",
+    ], ids=["unbuildable", "cross-check"])
+    def test_earlier_monte_carlo_failure_wins(self, monkeypatch, config):
+        # every law is evaluated up front, but the first point's failing draws
+        # are still reported before the second point's analytic failure
+        def failing(rng, scenario, size=None):
+            raise ArithmeticError("draws failed")
+
+        monkeypatch.setattr(montecarlo, "sample_sir", failing)
+        with pytest.raises(SweepPointError) as info:
+            validate(dataclasses.replace(parse_config(config), samples=10 ** 4, seed=0))
+        assert str(info.value.cause) == "draws failed"
+        assert info.value.point == next(_grid_points(parse_config(config)))
+        monkeypatch.undo()
+        with pytest.raises(SweepPointError) as info:
+            validate(dataclasses.replace(parse_config(config), samples=10 ** 4, seed=0))
+        assert info.value.point != next(_grid_points(parse_config(config)))
 
     def test_corrupted_beta_fails(self):
         rows = validate(dataclasses.replace(parse_config(DIVERSITY_GRID), samples=10 ** 5,
@@ -428,6 +518,19 @@ class TestCliProcess:
         assert proc.returncode == 0
         assert proc.stdout == SWEEP_FROZEN[name]
 
+    @pytest.mark.parametrize("name", sorted(POINT_FROZEN))
+    def test_point_frozen_bytes(self, name):
+        argv, expected = POINT_FROZEN[name]
+        proc = run_cli("point", *argv)
+        assert proc.returncode == 0
+        assert proc.stdout == expected
+
+    def test_dist_frozen_bytes(self):
+        proc = run_cli("dist", "--config", os.path.join(CONFIG_DIR, "fig2_sweep.ini"),
+                       "--points", "50")
+        assert proc.returncode == 0
+        assert proc.stdout == DIST_FIG2_50
+
     @pytest.mark.parametrize("command, config, flags, message", [
         ("point", MINIMAL.replace("m = 2", "m = 0.1"), "", "m must be >= 0.5"),
         ("point", MINIMAL, "--m inf", "scenario: m must be finite"),
@@ -437,8 +540,10 @@ class TestCliProcess:
         ("dist", MINIMAL, "--ymax inf --points 3", "dist needs 0 < ymin < ymax < inf"),
         ("validate", MINIMAL, "--corrupt-beta 0", "config error: --corrupt-beta must be"),
         ("validate", MINIMAL, "--corrupt-beta nan", "config error: --corrupt-beta must be"),
+        ("point", MINIMAL, "--M 0",
+         "config error: invalid scenario: M must be an integer >= 1, got 0\n"),
     ], ids=["m-0.1", "m-inf", "sigma-inf", "n-inf", "seed-negative", "dist-ymax-inf",
-            "corrupt-beta-0", "corrupt-beta-nan"])
+            "corrupt-beta-0", "corrupt-beta-nan", "M-0"])
     def test_parse_error_exit_code(self, tmp_path, command, config, flags, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(config)
