@@ -128,11 +128,15 @@ def sir_cdf(dist: SirDistribution, y):
 
     dist.shape and dist.beta broadcast against y, so a dist whose shape and
     beta are columns of many laws evaluates them all against a row of y.
+    The result is computed in the array of beta*y, so besides y the call
+    holds at most that array and 1 + t.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise ValueError("SIR must be >= 0")
+    out = np.asarray(np.multiply(dist.beta, y))
     # clamped so that t/(1+t) is 1, not inf/inf, once beta*y overflows
-    t = np.minimum(dist.beta * y, np.finfo(float).max)
-    out = (t / (1.0 + t)) ** dist.shape
+    np.minimum(out, np.finfo(float).max, out=out)
+    np.divide(out, 1.0 + out, out=out)
+    np.power(out, dist.shape, out=out)
     return float(out) if out.ndim == 0 else out

@@ -9,7 +9,9 @@ magnitude less variance.
 
 Draws come from numpy Generators, and this module alone derives seeds: block
 i of a run on seed s draws on SeedSequence(s, spawn_key=(i,)), and
-derived_seed gives the per-row seeds of validate.
+derived_seed gives the per-row seeds of validate.  ks_statistic evaluates the
+closed-form cdf only at spaced sorted draws and where a rounding-aware bound
+says the statistic's maximum can lie, which gives the full evaluation's bits.
 """
 
 from __future__ import annotations
@@ -33,8 +35,12 @@ BLOCK_SIZE = 1 << 16
 # sample_sir draws the branch gammas this many rows at a time.
 _GAMMA_ROWS = 1 << 13
 
-# Blocks and KS chunks run on a thread pool of one worker per CPU this process
-# may use, one pool per call; numpy's samplers and ufunc loops release the GIL.
+# _ks_sorted evaluates the law at every this-many-th sorted draw, and between
+# two of them only where the statistic's maximum can lie.
+_KS_RUN = 64
+
+# Blocks run on a thread pool of one worker per CPU this process may use, one
+# pool per call; numpy's samplers and ufunc loops release the GIL.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
@@ -70,19 +76,28 @@ def sample_sir(rng: np.random.Generator, scenario: Scenario, size: int):
 
     The combined signal power is the sum of M independent Gamma(m, sigma/m)
     branch powers (squared Nakagami amplitudes); the interference power is
-    the geometric link factor times an exponential of mean rho.
+    the geometric link factor times an exponential of mean rho.  Branch
+    powers add left to right, as numpy's row sum does for M <= 7 (for M >= 8
+    it sums pairwise, so rng.gamma(...).sum(-1) differs in the last bits).
     """
     m, sigma = scenario.m, scenario.sigma
     c_geom = 10.0 ** ((scenario.p2_dbm - scenario.p1_dbm) / 10.0) \
         * (scenario.s / scenario.t) ** scenario.n
 
-    # numpy draws gammas one after another in C order, so row chunks summed
-    # straight into signal use the stream as one (size, M) draw would.
+    # numpy draws gammas one after another in C order, so row chunks of one
+    # reused buffer use the stream as one (size, M) draw would, and
+    # standard_gamma times sigma/m is rng.gamma(m, sigma/m) bit for bit.
     signal = np.empty(size)
+    gammas = np.empty((min(size, _GAMMA_ROWS), scenario.M))
     for start in range(0, size, _GAMMA_ROWS):
         stop = min(start + _GAMMA_ROWS, size)
-        np.sum(rng.gamma(m, sigma / m, size=(stop - start, scenario.M)),
-               axis=-1, out=signal[start:stop])
+        chunk = gammas[:stop - start]
+        rng.standard_gamma(m, out=chunk)
+        chunk *= sigma / m
+        total = signal[start:stop]
+        total[:] = chunk[:, 0]
+        for column in chunk.T[1:]:
+            total += column
     interference = _interferer_power(rng, scenario.rho, size)
     interference *= c_geom
     signal /= interference
@@ -171,30 +186,57 @@ def estimate_with_draws(scenario: Scenario, samples: int, seed: int):
     return _estimate(scenario, samples, seed, draws), draws
 
 
-def _ks_chunk(ordered, dist: SirDistribution, bounds) -> tuple:
-    """The two one-sided KS maxima over ordered[start:stop] of a sorted sample."""
-    start, stop = bounds
-    n = ordered.size
-    cdf = np.asarray(sir_cdf(dist, ordered[start:stop]))
-    steps = np.arange(start + 1, stop + 1, dtype=float)
-    steps /= n
-    gap = steps - cdf
-    d_plus = gap.max()
-    steps -= 1.0 / n
-    np.subtract(cdf, steps, out=gap)
-    return d_plus, gap.max()
+def _ks_terms(ordered, dist: SirDistribution, index) -> tuple:
+    """Largest KS gap, fl(i/n), fl(i/n) - fl(1/n) and cdf at sorted indices, rank i = index + 1."""
+    steps = (index + 1) / ordered.size
+    low = steps - 1.0 / ordered.size
+    cdf = sir_cdf(dist, ordered[index])
+    return max(np.max(steps - cdf), np.max(cdf - low)), steps, low, cdf
 
 
 def _ks_sorted(ordered, dist: SirDistribution) -> float:
-    """ks_statistic of a non-empty sample already sorted ascending."""
+    """ks_statistic of a non-empty sample already sorted ascending.
+
+    The statistic is the largest gap D+ = fl(i/n) - c_i or D- = c_i -
+    (fl(i/n) - fl(1/n)) over ranks i, c_i = sir_cdf at the i-th smallest
+    draw.  The law is evaluated at every _KS_RUN-th draw (the knots), and
+    between knots of ranks a < b only when the run's bound reaches a gap
+    already found: the result is a full evaluation's, bit for bit.
+
+    Bound: t = fl(beta*y) never falls as y rises, and with k the shape and
+    u = eps/2, c = (t/(1+t))**k * (1+h)**k * (1+p), |h| <= 2u/(1-u) from the
+    ratio's two roundings and |p| <= 8u (pow within 4 ulp: glibc's is within
+    1, numpy's AVX-512 SVML loops within 4; below 2**-1022 the error is far
+    smaller).  So for ranks j <= i, c_j - c_i <= (1+h)**k*(1+8u) -
+    (1-h)**K*(1-8u) <= 2.2*K*eps + 8*eps, K = max(k, 1), as e**x - 1 <=
+    1.14*x for x <= 1/4, while k*eps <= 1/8; past that the margin exceeds 1
+    and covers any gap.  With monotone rounding and eps/2 for the bound's own
+    difference, the run's D+ are at most fl(fl(b/n) - c_a) + margin and its
+    D- at most fl(c_b - (fl(a/n) - fl(1/n))) + margin, margin = (8*k + 16)*eps.
+    A NaN draw sorts last and makes the statistic NaN.
+    """
     n = ordered.size
-    # Elementwise arithmetic per chunk and an exact max: the same bits as one
-    # pass over the whole sorted array.
-    chunks = [(start, min(start + BLOCK_SIZE, n)) for start in range(0, n, BLOCK_SIZE)]
-    with ThreadPoolExecutor(WORKERS) as pool:
-        maxima = np.array(list(pool.map(partial(_ks_chunk, ordered, dist), chunks)))
-    d_plus, d_minus = np.max(maxima, axis=0).tolist()
-    return max(d_plus, d_minus)
+    if np.isnan(ordered[-1]):
+        return math.nan
+    margin = (8.0 * dist.shape + 16.0) * np.finfo(float).eps
+    inner = np.arange(1, _KS_RUN)
+    group = BLOCK_SIZE // (16 * _KS_RUN)  # runs whose terms take under half a block
+    # any gap is a floor for the statistic; one from draws spread over the
+    # whole sample prunes the first blocks' runs as well as the last ones'
+    best = _ks_terms(ordered, dist, np.linspace(0, n - 1, 4096, dtype=np.int64))[0]
+    for start in range(0, n, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, n - 1)
+        knots = np.append(np.arange(start, stop, _KS_RUN), stop)
+        gap, steps, low, cdf = _ks_terms(ordered, dist, knots)
+        best = max(best, gap)
+        bound = np.maximum(steps[1:] - cdf[:-1], cdf[1:] - low[:-1])
+        bound += margin
+        runs = knots[:-1][bound >= best]
+        for first in range(0, runs.size, group):
+            index = (runs[first:first + group, None] + inner).ravel()
+            np.minimum(index, n - 1, out=index)
+            best = max(best, _ks_terms(ordered, dist, index)[0])
+    return float(best)
 
 
 def ks_statistic(samples, dist: SirDistribution) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -241,6 +242,17 @@ class TestSirCdf:
         assert cdfs.shape == (len(CHANNEL_GRID), ys.size)
         for dist, row in zip(CHANNEL_GRID, cdfs):
             np.testing.assert_allclose(row, sir_cdf(dist, ys), rtol=1e-15, atol=0.0)
+
+    def test_holds_two_arrays(self):
+        # computed in the array of beta*y: besides y, that and 1 + t at most
+        ys = np.geomspace(1e-3, 1e4, 1 << 16)
+        tracemalloc.start()
+        try:
+            sir_cdf(SirDistribution(shape=6.0, beta=0.2), ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * ys.nbytes
 
 
 class TestDistributionInvariants:

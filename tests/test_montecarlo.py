@@ -58,10 +58,11 @@ class TestSampleSir:
         b = sample_sir(default_rng(8), scaled, size=N)
         assert two_sample_ks(a, b) < 0.005
 
-    @pytest.mark.parametrize("branches", [1, 4])
+    @pytest.mark.parametrize("branches", [1, 4, 7])
     def test_chunked_gammas_keep_one_shot_bits(self, branches):
         # the gammas are drawn and summed in row chunks; the one-shot draw of
-        # all of them, then the exponentials, is the same stream
+        # all of them, then the exponentials, is the same stream, and up to
+        # M = 7 numpy's row sum adds left to right as sample_sir does
         scenario = scen(m=3, M=branches, p1=17, p2=10, s=100, t=80, n=3.5, sigma=1.5, rho=2.0)
         size = 3 * montecarlo._GAMMA_ROWS + 5
         rng = default_rng(27)
@@ -70,6 +71,22 @@ class TestSampleSir:
             * (scenario.s / scenario.t) ** scenario.n
         one_shot = signal / (c_geom * rng.exponential(2.0, size=size))
         assert np.array_equal(sample_sir(default_rng(27), scenario, size), one_shot)
+
+    def test_gammas_sum_left_to_right_past_seven(self):
+        # from M = 8 numpy's row sum is pairwise; sample_sir keeps adding the
+        # branch columns left to right
+        scenario = scen(m=1.5, M=9, p1=17, p2=10, s=100, t=80, n=3.5, sigma=1.5, rho=2.0)
+        size = montecarlo._GAMMA_ROWS + 5
+        rng = default_rng(29)
+        gammas = rng.gamma(1.5, 1.5 / 1.5, size=(size, 9))
+        signal = gammas[:, 0].copy()
+        for column in gammas.T[1:]:
+            signal += column
+        assert not np.array_equal(signal, gammas.sum(-1))
+        c_geom = 10.0 ** ((scenario.p2_dbm - scenario.p1_dbm) / 10.0) \
+            * (scenario.s / scenario.t) ** scenario.n
+        left_to_right = signal / (c_geom * rng.exponential(2.0, size=size))
+        assert np.array_equal(sample_sir(default_rng(29), scenario, size), left_to_right)
 
 
 class TestEstimateBer:
@@ -167,6 +184,69 @@ class TestEstimateBer:
             McEstimate(mean=0.1, std_error=-1.0, samples=10, seed=0)
         with pytest.raises(ValueError):
             McEstimate(mean=0.1, std_error=0.0, samples=0, seed=0)
+
+
+def full_ks(ordered, dist):
+    """KS statistic of sorted draws with the law evaluated at every draw."""
+    n = ordered.size
+    cdf = np.asarray(sir_cdf(dist, ordered))
+    steps = np.arange(1, n + 1, dtype=float)
+    steps /= n
+    gap = steps - cdf
+    d_plus = gap.max()
+    steps -= 1.0 / n
+    np.subtract(cdf, steps, out=gap)
+    return max(d_plus.item(), gap.max().item())
+
+
+class TestBoundedKs:
+    # _ks_sorted evaluates the law only where the statistic's maximum can
+    # lie; its value must be the full evaluation's, bit for bit
+    @pytest.mark.parametrize("n", [1, 2, 10 ** 4, 200003, 1 << 21])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 4.0, 36.0, 320.0])
+    def test_exact_against_full_evaluation(self, shape, scale, n):
+        law = SirDistribution(shape=shape, beta=0.8)
+        ordered = np.sort(inverse_transform_draws(law, n, seed=(int(2 * shape), n)))
+        dist = SirDistribution(shape=shape, beta=0.8 * scale)
+        assert montecarlo._ks_sorted(ordered, dist) == full_ks(ordered, dist)
+
+    def test_exact_with_ties(self):
+        ordered = np.repeat([0.05, 0.3, 1.0, 2.5, 7.0], [3, 70001, 1, 90000, 40000])
+        for dist in (SirDistribution(shape=2.0, beta=1.0), SirDistribution(shape=36.0, beta=0.1)):
+            assert montecarlo._ks_sorted(ordered, dist) == full_ks(ordered, dist)
+
+    def test_nan_draw_gives_nan(self):
+        dist = SirDistribution(shape=4.0, beta=0.8)
+        draws = np.append(inverse_transform_draws(dist, 10 ** 5, seed=30), np.nan)
+        assert math.isnan(full_ks(np.sort(draws), dist))
+        assert math.isnan(ks_statistic(draws, dist))
+
+    def test_margin_covers_cdf_rounding(self):
+        # sir_cdf is not monotone to the last bit: where beta*y crosses 512,
+        # just above a shape-320 law's median, 1 + beta*y rounds, and over
+        # 2**20 consecutive doubles the cdf falls by up to 172 eps here.
+        # _ks_sorted's margin, (8*shape + 16)*eps, must cover that.
+        dist = SirDistribution(shape=320.0, beta=0.8)
+        ys = (np.array(512.0 / dist.beta).view(np.int64)
+              + np.arange(-(1 << 19), 1 << 19)).view(np.float64)
+        cdf = sir_cdf(dist, ys)
+        assert abs(cdf[0] - 0.5) < 0.05
+        fall = np.max(np.maximum.accumulate(cdf) - cdf)
+        assert 0.0 < fall <= (8.0 * dist.shape + 16.0) * np.finfo(float).eps
+
+    def test_evaluates_a_fraction_of_the_draws(self, monkeypatch):
+        evaluated = []
+
+        def counted(dist, y):
+            evaluated.append(y.size)
+            return sir_cdf(dist, y)
+
+        monkeypatch.setattr(montecarlo, "sir_cdf", counted)
+        dist = sir_distribution(FIG2)
+        ordered = np.sort(sample_sir(default_rng(31), FIG2, size=N))
+        assert montecarlo._ks_sorted(ordered, dist) == full_ks(ordered, dist)
+        assert sum(evaluated) < N // 10
 
 
 class TestKsStatistic:
