@@ -26,7 +26,7 @@ import numpy as np
 
 from .ber import ber, ber_batch  # noqa: F401  (perfbench/test_harness.py reads cli.ber)
 from .channel import Scenario, SirDistribution, sir_cdf, sir_distribution, sir_pdf
-from .montecarlo import _ks_sorted, derived_seed, estimate_with_draws
+from .montecarlo import derived_seed, estimate_ber, ks_statistic
 
 SCENARIO_KEYS = tuple(field.name for field in dataclasses.fields(Scenario))
 AXIS_NAMES = ("s", "t", "M", "m", "n", "p1_dbm", "p2_dbm", "sigma", "rho")
@@ -282,12 +282,14 @@ def _mc_columns(point: dict, scenario: Scenario, dist: SirDistribution, samples:
                 seed: int) -> tuple:
     """(estimate, KS statistic) of one row's draws, which are freed on return."""
     try:
-        estimate, draws = estimate_with_draws(scenario, samples, seed)
-        draws.sort()  # this row's own array: no sorted copy
-        return estimate, _ks_sorted(draws, dist)
-    except MemoryError:
+        draws = np.empty(samples)
+    except (MemoryError, ValueError):  # numpy refuses a size it cannot allocate or index
         raise ConfigError(f"grid point {point}: {samples} samples need {8 * samples} "
                           "bytes for their draws, more than this process can allocate") from None
+    try:
+        estimate = estimate_ber(scenario, samples, seed, out=draws)
+        draws.sort()  # this row's own array: ks_statistic takes no sorted copy
+        return estimate, ks_statistic(draws, dist)
     except (ValueError, ArithmeticError) as exc:
         raise SweepPointError(point, exc) from exc
 
@@ -430,7 +432,11 @@ def main(argv=None) -> int:
         else:  # dist
             if not (args.points >= 2 and 0.0 < args.ymin < args.ymax < math.inf):
                 raise ConfigError("dist needs 0 < ymin < ymax < inf and points >= 2")
-            grid = np.geomspace(args.ymin, args.ymax, args.points)
+            try:
+                grid = np.geomspace(args.ymin, args.ymax, args.points)
+            except (MemoryError, ValueError):  # numpy refuses a size it cannot allocate or index
+                raise ConfigError(f"dist: {args.points} points need {8 * args.points} bytes "
+                                  "for their grid, more than this process can allocate") from None
             pdf, cdf = _law_on_grid(sir_distribution(spec.base), grid)
             columns = zip(grid.tolist(), pdf.tolist(), cdf.tolist())
             text = "".join(["y,pdf,cdf\n"] + ["%.12g,%.12g,%.12g\n" % row for row in columns])

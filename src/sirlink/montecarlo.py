@@ -35,7 +35,7 @@ BLOCK_SIZE = 1 << 16
 # sample_sir draws the branch gammas this many rows at a time.
 _GAMMA_ROWS = 1 << 13
 
-# _ks_sorted evaluates the law at every this-many-th sorted draw, and between
+# ks_statistic evaluates the law at every this-many-th sorted draw, and between
 # two of them only where the statistic's maximum can lie.
 _KS_RUN = 64
 
@@ -151,39 +151,29 @@ def _fold(partials, seed: int) -> McEstimate:
                       seed=seed)
 
 
-def _estimate(scenario: Scenario, samples: int, seed: int, out=None) -> McEstimate:
-    """Draw the blocks on the pool and fold their partials as they come, in block order."""
-    seed = int(seed)
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be an unsigned 64-bit value, got {seed}")
-    blocks = _blocks(samples)
-    with ThreadPoolExecutor(WORKERS) as pool:
-        return _fold(pool.map(partial(_block_partial, scenario, seed, out), blocks), seed)
-
-
 def derived_seed(master: int, *key: int) -> int:
     """A 64-bit seed derived from master and key, e.g. one per grid row."""
     return int(np.random.SeedSequence(master, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
-def estimate_ber(scenario: Scenario, samples: int, seed: int) -> McEstimate:
+def estimate_ber(scenario: Scenario, samples: int, seed: int, out=None) -> McEstimate:
     """Semi-analytic BER estimate: average conditional BER over sampled SIRs.
 
     Unbiased for the analytical BER integral.  Identical (seed, samples)
     reproduce the mean bit-for-bit.  Workers keep only their current block,
-    so memory stays O(WORKERS * block) at any sample count.
+    so memory stays O(WORKERS * block) at any sample count.  When out, a
+    writable float64 array of samples entries, is given, the SIRs averaged
+    are also stored there in draw order.
     """
-    return _estimate(scenario, samples, seed)
-
-
-def estimate_with_draws(scenario: Scenario, samples: int, seed: int):
-    """estimate_ber's estimate, same bits, with the SIRs it averaged in one array.
-
-    The array is the caller's to keep or overwrite: 8 bytes per sample, on top
-    of the few blocks each worker holds while it draws.
-    """
-    draws = np.empty(samples)
-    return _estimate(scenario, samples, seed, draws), draws
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be an unsigned 64-bit value, got {seed}")
+    blocks = _blocks(samples)
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == (samples,) and out.flags.writeable):
+        raise ValueError(f"out must be a writable float64 array of {samples} entries")
+    with ThreadPoolExecutor(WORKERS) as pool:
+        return _fold(pool.map(partial(_block_partial, scenario, seed, out), blocks), seed)
 
 
 def _ks_terms(ordered, dist: SirDistribution, index) -> tuple:
@@ -194,14 +184,15 @@ def _ks_terms(ordered, dist: SirDistribution, index) -> tuple:
     return max(np.max(steps - cdf), np.max(cdf - low)), steps, low, cdf
 
 
-def _ks_sorted(ordered, dist: SirDistribution) -> float:
-    """ks_statistic of a non-empty sample already sorted ascending.
+def ks_statistic(samples, dist: SirDistribution) -> float:
+    """Two-sided Kolmogorov-Smirnov distance between the sample set and the SIR law.
 
-    The statistic is the largest gap D+ = fl(i/n) - c_i or D- = c_i -
-    (fl(i/n) - fl(1/n)) over ranks i, c_i = sir_cdf at the i-th smallest
-    draw.  The law is evaluated at every _KS_RUN-th draw (the knots), and
-    between knots of ranks a < b only when the run's bound reaches a gap
-    already found: the result is a full evaluation's, bit for bit.
+    Sorts a copy of samples unless they are already ascending; the caller's
+    array is left as it was.  The statistic is the largest gap D+ = fl(i/n) -
+    c_i or D- = c_i - (fl(i/n) - fl(1/n)) over ranks i, c_i = sir_cdf at the
+    i-th smallest draw.  The law is evaluated at every _KS_RUN-th draw (the
+    knots), and between knots of ranks a < b only when the run's bound
+    reaches a gap already found, so the result is a full evaluation's to the bit.
 
     Bound: t = fl(beta*y) never falls as y rises, and with k the shape and
     u = eps/2, c = (t/(1+t))**k * (1+h)**k * (1+p), |h| <= 2u/(1-u) from the
@@ -215,6 +206,14 @@ def _ks_sorted(ordered, dist: SirDistribution) -> float:
     D- at most fl(c_b - (fl(a/n) - fl(1/n))) + margin, margin = (8*k + 16)*eps.
     A NaN draw sorts last and makes the statistic NaN.
     """
+    ordered = np.asarray(samples, dtype=float)
+    if ordered.size == 0:
+        raise ValueError("samples must be non-empty")
+    for start in range(0, ordered.size - 1, BLOCK_SIZE):  # one block's pairs at a time
+        chunk = ordered[start:start + BLOCK_SIZE + 1]
+        if not np.all(chunk[:-1] <= chunk[1:]):  # a fall or a NaN: sort a copy
+            ordered = np.sort(ordered)
+            break
     n = ordered.size
     if np.isnan(ordered[-1]):
         return math.nan
@@ -237,14 +236,3 @@ def _ks_sorted(ordered, dist: SirDistribution) -> float:
             np.minimum(index, n - 1, out=index)
             best = max(best, _ks_terms(ordered, dist, index)[0])
     return float(best)
-
-
-def ks_statistic(samples, dist: SirDistribution) -> float:
-    """Two-sided Kolmogorov-Smirnov distance between the sample set and the SIR law.
-
-    Sorts a copy of samples; the caller's array is left as it was.
-    """
-    ordered = np.sort(np.asarray(samples, dtype=float))
-    if ordered.size == 0:
-        raise ValueError("samples must be non-empty")
-    return _ks_sorted(ordered, dist)

@@ -506,6 +506,24 @@ class TestCliProcess:
         assert "'M': 1" in proc.stderr
         assert "100000000000000 samples need 800000000000000 bytes" in proc.stderr
 
+    def test_validate_sample_count_past_index_range(self):
+        # numpy refuses 10**23 entries before any allocation, with a ValueError
+        proc = run_cli("validate", "--config", os.path.join(CONFIG_DIR, "fig3_validate.ini"),
+                       "--samples", str(10 ** 23))
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert f"{10 ** 23} samples need {8 * 10 ** 23} bytes" in proc.stderr
+
+    @pytest.mark.parametrize("points", [10 ** 17, 10 ** 23], ids=["1e17", "1e23"])
+    def test_dist_point_count_too_large(self, points):
+        # numpy refuses both before allocating: 8e17 bytes exceed the address
+        # space, and 1e23 entries exceed its index range
+        proc = run_cli("dist", "--config", os.path.join(CONFIG_DIR, "fig2_sweep.ini"),
+                       "--points", str(points))
+        assert proc.returncode == 1
+        assert proc.stderr == (f"config error: dist: {points} points need {8 * points} bytes "
+                               "for their grid, more than this process can allocate\n")
+
     def test_validate_frozen_bytes(self):
         proc = run_cli("validate", "--config", os.path.join(CONFIG_DIR, "fig3_validate.ini"),
                        "--samples", "200003")

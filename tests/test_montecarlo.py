@@ -20,7 +20,7 @@ from sirlink import (
     sir_cdf,
     sir_distribution,
 )
-from sirlink.montecarlo import BLOCK_SIZE, _block_partial, _blocks, estimate_with_draws
+from sirlink.montecarlo import BLOCK_SIZE, _block_partial, _blocks
 
 N = 10 ** 6
 
@@ -140,7 +140,8 @@ class TestEstimateBer:
         sys.setswitchinterval(1e-6)
         try:
             estimate = estimate_ber(FIG2, samples, seed=14)
-            with_draws, draws = estimate_with_draws(FIG2, samples, seed=14)
+            draws = np.empty(samples)
+            with_draws = estimate_ber(FIG2, samples, seed=14, out=draws)
         finally:
             sys.setswitchinterval(interval)
         assert (estimate.mean, estimate.std_error) == (0.002128999602062179, 1.97129040749607e-05)
@@ -176,8 +177,21 @@ class TestEstimateBer:
 
     def test_blocks_draw_different_sirs(self):
         # each block draws on its own SeedSequence child of the run's seed
-        _, draws = estimate_with_draws(FIG2, 2 * BLOCK_SIZE, seed=99)
+        draws = np.empty(2 * BLOCK_SIZE)
+        estimate_ber(FIG2, 2 * BLOCK_SIZE, seed=99, out=draws)
         assert np.intersect1d(draws[:BLOCK_SIZE], draws[BLOCK_SIZE:]).size == 0
+
+    @pytest.mark.parametrize("out", [np.empty(BLOCK_SIZE - 1), np.empty(BLOCK_SIZE + 1),
+                                     np.empty(BLOCK_SIZE, dtype=np.float32),
+                                     np.empty((BLOCK_SIZE, 1)), [0.0] * BLOCK_SIZE,
+                                     np.broadcast_to(0.0, (BLOCK_SIZE,))],
+                             ids=["short", "long", "float32", "2d", "list", "read-only"])
+    def test_out_rejected_before_drawing(self, monkeypatch, out):
+        drawn = []
+        monkeypatch.setattr(montecarlo, "sample_sir", lambda *args, **kw: drawn.append(kw))
+        with pytest.raises(ValueError, match="out must be"):
+            estimate_ber(FIG2, BLOCK_SIZE, seed=20, out=out)
+        assert drawn == []
 
     def test_estimate_invariants(self):
         with pytest.raises(ValueError):
@@ -200,7 +214,7 @@ def full_ks(ordered, dist):
 
 
 class TestBoundedKs:
-    # _ks_sorted evaluates the law only where the statistic's maximum can
+    # ks_statistic evaluates the law only where the statistic's maximum can
     # lie; its value must be the full evaluation's, bit for bit
     @pytest.mark.parametrize("n", [1, 2, 10 ** 4, 200003, 1 << 21])
     @pytest.mark.parametrize("scale", [0.5, 1.0, 1.5])
@@ -209,24 +223,60 @@ class TestBoundedKs:
         law = SirDistribution(shape=shape, beta=0.8)
         ordered = np.sort(inverse_transform_draws(law, n, seed=(int(2 * shape), n)))
         dist = SirDistribution(shape=shape, beta=0.8 * scale)
-        assert montecarlo._ks_sorted(ordered, dist) == full_ks(ordered, dist)
+        assert ks_statistic(ordered, dist) == full_ks(ordered, dist)
 
     def test_exact_with_ties(self):
         ordered = np.repeat([0.05, 0.3, 1.0, 2.5, 7.0], [3, 70001, 1, 90000, 40000])
         for dist in (SirDistribution(shape=2.0, beta=1.0), SirDistribution(shape=36.0, beta=0.1)):
-            assert montecarlo._ks_sorted(ordered, dist) == full_ks(ordered, dist)
+            assert ks_statistic(ordered, dist) == full_ks(ordered, dist)
 
     def test_nan_draw_gives_nan(self):
         dist = SirDistribution(shape=4.0, beta=0.8)
         draws = np.append(inverse_transform_draws(dist, 10 ** 5, seed=30), np.nan)
         assert math.isnan(full_ks(np.sort(draws), dist))
         assert math.isnan(ks_statistic(draws, dist))
+        assert math.isnan(ks_statistic(np.sort(draws), dist))  # sorted, ending in NaN
+
+    def test_sorted_input_takes_no_copy(self):
+        # 2**21 draws are 32 blocks; the statistic's own temporaries stay
+        # under half a block, so a sorted copy would show in the peak
+        dist = SirDistribution(shape=4.0, beta=0.8)
+        ordered = np.sort(inverse_transform_draws(dist, 1 << 21, seed=33))
+        tracemalloc.start()
+        try:
+            ks = ks_statistic(ordered, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * BLOCK_SIZE * 8
+        assert ks == ks_statistic(ordered[::-1].copy(), dist) == full_ks(ordered, dist)
+
+    @pytest.mark.parametrize("n, swap", [(3 * BLOCK_SIZE, BLOCK_SIZE - 1),
+                                         (2 * BLOCK_SIZE + 1, 2 * BLOCK_SIZE - 1)],
+                             ids=["block-edge", "last-pair"])
+    def test_one_swapped_pair_sorts_a_copy(self, n, swap):
+        # pairs the order scan compares across a block edge and last
+        dist = SirDistribution(shape=4.0, beta=0.8)
+        ordered = np.sort(inverse_transform_draws(dist, n, seed=34))
+        swapped = ordered.copy()
+        swapped[[swap, swap + 1]] = swapped[[swap + 1, swap]]
+        assert swapped[swap] > swapped[swap + 1]
+        before = swapped.copy()
+        tracemalloc.start()
+        try:
+            ks = ks_statistic(swapped, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak >= swapped.nbytes  # the sorted copy
+        assert ks == ks_statistic(ordered, dist)
+        assert np.array_equal(swapped, before)
 
     def test_margin_covers_cdf_rounding(self):
         # sir_cdf is not monotone to the last bit: where beta*y crosses 512,
         # just above a shape-320 law's median, 1 + beta*y rounds, and over
         # 2**20 consecutive doubles the cdf falls by up to 172 eps here.
-        # _ks_sorted's margin, (8*shape + 16)*eps, must cover that.
+        # ks_statistic's margin, (8*shape + 16)*eps, must cover that.
         dist = SirDistribution(shape=320.0, beta=0.8)
         ys = (np.array(512.0 / dist.beta).view(np.int64)
               + np.arange(-(1 << 19), 1 << 19)).view(np.float64)
@@ -245,7 +295,7 @@ class TestBoundedKs:
         monkeypatch.setattr(montecarlo, "sir_cdf", counted)
         dist = sir_distribution(FIG2)
         ordered = np.sort(sample_sir(default_rng(31), FIG2, size=N))
-        assert montecarlo._ks_sorted(ordered, dist) == full_ks(ordered, dist)
+        assert ks_statistic(ordered, dist) == full_ks(ordered, dist)
         assert sum(evaluated) < N // 10
 
 
@@ -283,7 +333,7 @@ class TestKsStatistic:
         ks = ks_statistic(draws, dist)
         assert np.array_equal(draws, before)
         draws.sort()
-        assert ks == montecarlo._ks_sorted(draws, dist)
+        assert ks == ks_statistic(draws, dist)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
