@@ -2,6 +2,10 @@
 
 Configuration is a flat INI document with [scenario], [sweep] and [validate]
 sections; command-line flags mirror the config keys and override them.
+[scenario] may leave out M, sigma and rho, which take Scenario's defaults (1).
+[sweep] names up to two axes, the first varying fastest.  `validate` evaluates
+the whole grid as `sweep` does before it makes any Monte Carlo draw.
+
 Output is plot-ready CSV: M and pass print as integers, and every other
 column, as every column of `dist`, prints with %.12g (12 significant
 digits), so identical inputs produce byte-identical files.
@@ -16,6 +20,7 @@ import argparse
 import configparser
 import dataclasses
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -30,7 +35,9 @@ from .montecarlo import derived_seed, estimate_ber, ks_statistic
 
 SCENARIO_KEYS = tuple(field.name for field in dataclasses.fields(Scenario))
 AXIS_NAMES = ("s", "t", "M", "m", "n", "p1_dbm", "p2_dbm", "sigma", "rho")
-SWEEP_KEYS = ("axis", "values", "second_axis", "second_values")
+# The two [sweep] slots, innermost first: each names an axis and its values.
+SWEEP_SLOTS = (("axis", "values"), ("second_axis", "second_values"))
+SWEEP_KEYS = tuple(itertools.chain(*SWEEP_SLOTS))
 VALIDATE_KEYS = ("samples", "seed")
 SECTION_KEYS = {"scenario": SCENARIO_KEYS, "sweep": SWEEP_KEYS, "validate": VALIDATE_KEYS}
 
@@ -58,13 +65,10 @@ class SweepPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A base scenario plus up to two sweep axes and validation controls."""
+    """A base scenario, up to two (name, values) axes innermost first, and MC controls."""
 
     base: Scenario
-    axis: Optional[str] = None
-    values: Optional[tuple] = None
-    second_axis: Optional[str] = None
-    second_values: Optional[tuple] = None
+    axes: tuple = ()
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
 
@@ -130,6 +134,14 @@ def _parse_int(section: str, key: str, raw: str) -> int:
     return value
 
 
+def _whole_m(section: str, value: float, raw: str) -> int:
+    """M as an int: in [scenario] and on a sweep axis alike it must be a whole
+    number, so 2.0 gives 2 and 2.5, inf and nan are refused."""
+    if not value.is_integer():
+        raise ConfigError(f"[{section}] M values must be integers >= 1, got {raw}")
+    return int(value)
+
+
 def _parse_values(axis: str, raw: str) -> tuple:
     items = [part for chunk in raw.split(",") for part in chunk.split()]
     if not items:
@@ -138,9 +150,9 @@ def _parse_values(axis: str, raw: str) -> tuple:
     for item in items:
         value = _parse_float("sweep", "values", item)
         if axis == "M":
-            if not (value.is_integer() and value >= 1):
+            value = _whole_m("sweep", value, item)
+            if value < 1:  # an M axis is refused whole, before any grid point is built
                 raise ConfigError(f"[sweep] M values must be integers >= 1, got {item}")
-            value = int(value)
         out.append(value)
     return tuple(sorted(out))
 
@@ -171,38 +183,31 @@ def _build_spec(sections: dict) -> SweepSpec:
     sweep_raw = sections.get("sweep", {})
     val_raw = sections.get("validate", {})
 
-    axis = sweep_raw.get("axis")
-    second_axis = sweep_raw.get("second_axis")
-    for name in (axis, second_axis):
+    names = axis, second_axis = [sweep_raw.get(key) for key, _ in SWEEP_SLOTS]
+    for name in names:
         if name is not None and name not in AXIS_NAMES:
             raise ConfigError(f"unknown sweep axis {name!r}; expected one of {AXIS_NAMES}")
     if second_axis is not None and axis is None:
         raise ConfigError("second_axis given without axis")
     if axis is not None and axis == second_axis:
         raise ConfigError("axis and second_axis must differ")
+    axes = []
+    for name, (key, values_key) in zip(names, SWEEP_SLOTS):
+        if name is None:
+            continue
+        if values_key not in sweep_raw:
+            raise ConfigError(f"[sweep] {key} given without {values_key}")
+        axes.append((name, _parse_values(name, sweep_raw[values_key])))
 
-    values = None
-    if axis is not None:
-        if "values" not in sweep_raw:
-            raise ConfigError("[sweep] axis given without values")
-        values = _parse_values(axis, sweep_raw["values"])
-    second_values = None
-    if second_axis is not None:
-        if "second_values" not in sweep_raw:
-            raise ConfigError("[sweep] second_axis given without second_values")
-        second_values = _parse_values(second_axis, sweep_raw["second_values"])
-
-    params = {"sigma": 1.0, "rho": 1.0}
+    params = {}
     for key, raw in scen_raw.items():
-        if key == "M":
-            params[key] = _parse_int("scenario", key, raw)
-        else:
-            params[key] = _parse_float("scenario", key, raw)
+        value = _parse_float("scenario", key, raw)
+        params[key] = _whole_m("scenario", value, raw) if key == "M" else value
     # A swept parameter needs no base value; seed it with the first axis value.
-    for name, vals in ((axis, values), (second_axis, second_values)):
-        if name is not None and name not in params:
-            params[name] = vals[0]
-    missing = [key for key in SCENARIO_KEYS if key not in params]
+    for name, values in axes:
+        params.setdefault(name, values[0])
+    missing = [field.name for field in dataclasses.fields(Scenario)
+               if field.default is dataclasses.MISSING and field.name not in params]
     if missing:
         raise ConfigError(f"[scenario] missing required keys: {', '.join(missing)}")
 
@@ -213,9 +218,7 @@ def _build_spec(sections: dict) -> SweepSpec:
     if seed < 0:
         raise ConfigError(f"[validate] seed must be >= 0, got {seed}")
 
-    return SweepSpec(base=_build_scenario(params), axis=axis, values=values,
-                     second_axis=second_axis, second_values=second_values,
-                     samples=samples, seed=seed)
+    return SweepSpec(base=_build_scenario(params), axes=tuple(axes), samples=samples, seed=seed)
 
 
 def parse_config(text: str) -> SweepSpec:
@@ -224,83 +227,83 @@ def parse_config(text: str) -> SweepSpec:
 
 
 def _grid_points(spec: SweepSpec):
-    """Scenario parameter dicts in lexicographic (second value, axis value) order."""
+    """Scenario parameter dicts in grid order: the innermost axis varies fastest."""
     base = {key: getattr(spec.base, key) for key in SCENARIO_KEYS}
-    if spec.axis is None:
-        yield dict(base)
-        return
-    outer = spec.second_values if spec.second_axis is not None else (None,)
-    for second in outer:
-        for value in spec.values:
-            point = dict(base)
-            point[spec.axis] = value
-            if spec.second_axis is not None:
-                point[spec.second_axis] = second
-            yield point
+    for pairs in itertools.product(*([(name, value) for value in values]
+                                     for name, values in reversed(spec.axes))):
+        point = dict(base)
+        point.update(pairs)
+        yield point
 
 
-def _evaluated(points, corrupt_beta: float = 1.0):
-    """(point, scenario, law, BerResult) of each grid point, in grid order.
+def _analytic_rows(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
+    """The SweepRow of each grid point, in grid order, without Monte Carlo columns.
 
     Every law is built first and all are evaluated in one ber_batch call;
-    building stops at the first point whose law cannot be built.  Iteration
-    raises the SweepPointError of the first failing point when it reaches
-    that point, so a caller's own failure at an earlier point comes first.
-    Each law's beta is scaled by corrupt_beta.
+    building stops at the first point whose law cannot be built.  The first
+    failing point in grid order raises its SweepPointError.  Each law's beta
+    is scaled by corrupt_beta.
     """
-    built, failure = [], None
-    for point in points:
+    points, laws, failure = [], [], None
+    for point in _grid_points(spec):
         try:
-            scenario = _build_scenario(point)
-            law = sir_distribution(scenario)
+            law = sir_distribution(_build_scenario(point))
             if corrupt_beta != 1.0:
                 law = SirDistribution(shape=law.shape, beta=law.beta * corrupt_beta)
         except (ValueError, ArithmeticError) as exc:
             failure = SweepPointError(point, exc)
             break
-        built.append((point, scenario, law))
-    for (point, scenario, law), result in zip(built, ber_batch([law for *_, law in built])):
+        points.append(point)
+        laws.append(law)
+    rows = []
+    for point, law, result in zip(points, laws, ber_batch(laws)):
         if isinstance(result, Exception):
             raise SweepPointError(point, result) from result
-        yield point, scenario, law, result
+        rows.append(SweepRow(**point, shape=law.shape, beta=law.beta, ber=result.ber,
+                             quad_err=result.quad_error))
     if failure is not None:
         raise failure from failure.cause
+    return rows
 
 
 def run_sweep(spec: SweepSpec) -> list:
     """Evaluate the analytical BER at every grid point of the spec."""
-    return [SweepRow(**point, shape=law.shape, beta=law.beta, ber=result.ber,
-                     quad_err=result.quad_error)
-            for point, _, law, result in _evaluated(_grid_points(spec))]
+    return _analytic_rows(spec)
 
 
 def ks_threshold(samples: int) -> float:
     return max(KS_BASE_THRESHOLD, 1.95 / math.sqrt(samples))
 
 
-def _mc_columns(point: dict, scenario: Scenario, dist: SirDistribution, samples: int,
-                seed: int) -> tuple:
-    """(estimate, KS statistic) of one row's draws, which are freed on return."""
+def _with_mc_columns(row: SweepRow, samples: int, seed: int, threshold: float) -> SweepRow:
+    """The row plus its Monte Carlo columns, sampling the scenario and testing
+    the law that its own fields give; its draws are freed on return."""
+    point = {key: getattr(row, key) for key in SCENARIO_KEYS}
     try:
         draws = np.empty(samples)
     except (MemoryError, ValueError):  # numpy refuses a size it cannot allocate or index
         raise ConfigError(f"grid point {point}: {samples} samples need {8 * samples} "
                           "bytes for their draws, more than this process can allocate") from None
     try:
-        estimate = estimate_ber(scenario, samples, seed, out=draws)
+        estimate = estimate_ber(Scenario(**point), samples, seed, out=draws)
         draws.sort()  # this row's own array: ks_statistic takes no sorted copy
-        return estimate, ks_statistic(draws, dist)
+        ks = ks_statistic(draws, SirDistribution(shape=row.shape, beta=row.beta))
     except (ValueError, ArithmeticError) as exc:
         raise SweepPointError(point, exc) from exc
+    ok = abs(row.ber - estimate.mean) <= 3.0 * estimate.std_error and ks < threshold
+    return dataclasses.replace(row, mc_mean=estimate.mean, mc_std_error=estimate.std_error,
+                               ks_stat=ks, passed=ok)
 
 
 def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     """Cross-validate every grid point against the Monte Carlo oracle.
 
-    Each point draws spec.samples SIRs once.  It passes when the analytic BER
-    lies within 3 standard errors of their Monte Carlo mean and their KS
-    distance to the analytic distribution stays below the sample-size-aware
-    threshold.  One row's draws are held at a time, 8 bytes per sample.
+    The whole grid is evaluated analytically first, so a failing point raises
+    before any draws are made.  Each point then draws spec.samples SIRs once.
+    It passes when the analytic BER lies within 3 standard errors of their
+    Monte Carlo mean and their KS distance to the analytic distribution stays
+    below the sample-size-aware threshold.  One row's draws are held at a
+    time, 8 bytes per sample.
 
     corrupt_beta is a test hook: it scales the analytic distribution's beta
     while the Monte Carlo side keeps sampling the physical model, so any
@@ -309,16 +312,8 @@ def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     if spec.samples < 10 ** 4:
         raise ValueError(f"validation needs at least 1e4 samples, got {spec.samples}")
     threshold = ks_threshold(spec.samples)
-    rows = []
-    for index, (point, scenario, law, result) in enumerate(
-            _evaluated(_grid_points(spec), corrupt_beta)):
-        estimate, ks = _mc_columns(point, scenario, law, spec.samples,
-                                   derived_seed(spec.seed, index, 0))
-        ok = abs(result.ber - estimate.mean) <= 3.0 * estimate.std_error and ks < threshold
-        rows.append(SweepRow(**point, shape=law.shape, beta=law.beta, ber=result.ber,
-                             quad_err=result.quad_error, mc_mean=estimate.mean,
-                             mc_std_error=estimate.std_error, ks_stat=ks, passed=ok))
-    return rows
+    return [_with_mc_columns(row, spec.samples, derived_seed(spec.seed, index, 0), threshold)
+            for index, row in enumerate(_analytic_rows(spec, corrupt_beta))]
 
 
 def rows_to_csv(rows: list, validation: bool = False) -> str:
@@ -412,9 +407,7 @@ def main(argv=None) -> int:
     try:
         spec = _spec_from_args(args)
         if args.command == "point":
-            point_spec = dataclasses.replace(spec, axis=None, values=None,
-                                             second_axis=None, second_values=None)
-            text = rows_to_csv(run_sweep(point_spec))
+            text = rows_to_csv(run_sweep(dataclasses.replace(spec, axes=())))
         elif args.command == "sweep":
             text = rows_to_csv(run_sweep(spec))
         elif args.command == "validate":

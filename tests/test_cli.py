@@ -214,14 +214,13 @@ def run_cli(*args, cwd=None):
 class TestParseConfig:
     def test_minimal_point_spec(self):
         spec = parse_config(MINIMAL)
-        assert spec.axis is None and spec.values is None
+        assert spec.axes == ()
         assert spec.base.sigma == 1.0 and spec.base.rho == 1.0
         assert spec.samples == 10 ** 6
 
     def test_two_axis_spec(self):
         spec = parse_config(TWO_AXIS)
-        assert spec.axis == "t" and spec.values == (60.0, 90.0, 120.0)
-        assert spec.second_axis == "s" and spec.second_values == (20.0, 40.0)
+        assert spec.axes == (("t", (60.0, 90.0, 120.0)), ("s", (20.0, 40.0)))
         assert spec.samples == 50000 and spec.seed == 7
         # swept parameters took their base value from the first axis value
         assert spec.base.t == 60.0 and spec.base.s == 20.0
@@ -255,6 +254,40 @@ class TestParseConfig:
         for values in ("1, 2.5", "inf", "nan"):
             with pytest.raises(ConfigError, match="M values must be integers >= 1"):
                 parse_config(MINIMAL + f"\n[sweep]\naxis = M\nvalues = {values}\n")
+
+    def test_branch_count_one_rule(self, tmp_path, capsys):
+        # M must be a whole number in [scenario], on the command line and on
+        # a sweep axis alike: 2.0 is 2, and 2.5, inf and nan are refused
+        spec = parse_config(MINIMAL.replace("M = 1", "M = 2.0")
+                            + "\n[sweep]\naxis = M\nvalues = 3.0, 1\n")
+        assert spec.base.M == 2 and type(spec.base.M) is int
+        assert spec.axes == (("M", (1, 3)),)
+        assert all(type(value) is int for value in spec.axes[0][1])
+        for raw in ("2.5", "inf", "nan"):
+            with pytest.raises(ConfigError, match=r"\[scenario\] M values must be integers >= 1"):
+                parse_config(MINIMAL.replace("M = 1", f"M = {raw}"))
+            assert main(["point", "--m", "2", "--M", raw, "--p1_dbm", "15", "--p2_dbm", "6",
+                         "--s", "90", "--t", "90", "--n", "3"]) == 1
+            assert "M values must be integers >= 1" in capsys.readouterr().err
+        cfg = tmp_path / "point.ini"
+        cfg.write_text(MINIMAL)
+        printed = []
+        for raw in ("2", "2.0"):
+            assert main(["point", "--config", str(cfg), "--M", raw]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and printed[0].splitlines()[1].split(",")[1] == "2"
+
+    def test_scenario_defaults(self, tmp_path, capsys):
+        # M, sigma and rho take Scenario's own defaults, all 1
+        printed = []
+        for text in (MINIMAL.replace("M = 1\n", ""),
+                     MINIMAL.replace("M = 1\n", "M = 1\nsigma = 1\nrho = 1\n")):
+            cfg = tmp_path / "point.ini"
+            cfg.write_text(text)
+            assert main(["point", "--config", str(cfg)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert printed[0].splitlines()[1].startswith("2,1,1,1,15,6,90,90,3,")
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="missing required"):
@@ -345,21 +378,22 @@ class TestValidate:
         MINIMAL.replace("m = 2", "m = 4").replace("M = 1", "M = 25")
         + "\n[sweep]\naxis = p2_dbm\nvalues = 6, 39\n",
     ], ids=["unbuildable", "cross-check"])
-    def test_earlier_monte_carlo_failure_wins(self, monkeypatch, config):
-        # every law is evaluated up front, but the first point's failing draws
-        # are still reported before the second point's analytic failure
-        def failing(rng, scenario, size=None):
-            raise ArithmeticError("draws failed")
+    def test_analytic_failure_before_any_draw(self, monkeypatch, config):
+        # the whole grid is evaluated before the first point draws, so the
+        # second point's failure comes with no Monte Carlo work done
+        calls = []
+        draw = montecarlo.sample_sir
 
-        monkeypatch.setattr(montecarlo, "sample_sir", failing)
+        def counting(rng, scenario, size=None):
+            calls.append(size)
+            return draw(rng, scenario, size)
+
+        monkeypatch.setattr(montecarlo, "sample_sir", counting)
+        spec = dataclasses.replace(parse_config(config), samples=10 ** 4, seed=0)
         with pytest.raises(SweepPointError) as info:
-            validate(dataclasses.replace(parse_config(config), samples=10 ** 4, seed=0))
-        assert str(info.value.cause) == "draws failed"
-        assert info.value.point == next(_grid_points(parse_config(config)))
-        monkeypatch.undo()
-        with pytest.raises(SweepPointError) as info:
-            validate(dataclasses.replace(parse_config(config), samples=10 ** 4, seed=0))
-        assert info.value.point != next(_grid_points(parse_config(config)))
+            validate(spec)
+        assert info.value.point == list(_grid_points(spec))[1]
+        assert calls == []
 
     def test_corrupted_beta_fails(self):
         rows = validate(dataclasses.replace(parse_config(DIVERSITY_GRID), samples=10 ** 5,
@@ -560,8 +594,18 @@ class TestCliProcess:
         ("validate", MINIMAL, "--corrupt-beta nan", "config error: --corrupt-beta must be"),
         ("point", MINIMAL, "--M 0",
          "config error: invalid scenario: M must be an integer >= 1, got 0\n"),
+        # each [sweep] error comes before those of the slots' values
+        ("sweep", MINIMAL + "\n[sweep]\naxis = s\nsecond_axis = bogus\n", "",
+         "config error: unknown sweep axis 'bogus'; expected one of "),
+        ("sweep", MINIMAL + "\n[sweep]\nsecond_axis = s\n", "",
+         "config error: second_axis given without axis\n"),
+        ("sweep", MINIMAL + "\n[sweep]\naxis = s\nsecond_axis = s\n", "",
+         "config error: axis and second_axis must differ\n"),
+        ("sweep", MINIMAL + "\n[sweep]\naxis = s\nvalues = 90\nsecond_axis = t\n", "",
+         "config error: [sweep] second_axis given without second_values\n"),
     ], ids=["m-0.1", "m-inf", "sigma-inf", "n-inf", "seed-negative", "dist-ymax-inf",
-            "corrupt-beta-0", "corrupt-beta-nan", "M-0"])
+            "corrupt-beta-0", "corrupt-beta-nan", "M-0", "unknown-axis",
+            "second-axis-alone", "same-axis-twice", "second-axis-without-values"])
     def test_parse_error_exit_code(self, tmp_path, command, config, flags, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(config)
