@@ -7,29 +7,33 @@ regression anchor: the analytical route must reproduce every mean within
 three standard errors.  Rerun only when the reference grid itself changes.
 """
 
+import dataclasses
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
 
 from conftest import BER_GRID, GOLDEN_PATH, scen  # noqa: E402
-from sirlink import estimate_ber  # noqa: E402
+from sirlink import Scenario, estimate_ber  # noqa: E402
 from sirlink.montecarlo import derived_seed  # noqa: E402
 
 SAMPLES = 10 ** 7
 MASTER_SEED = 20230215
+# One column per Scenario field, in its order: whole-number fields print
+# with %d and the others with 12 significant digits.
+PARAMS = tuple((field.name, "%d" if field.type == "int" else "%.12g")
+               for field in dataclasses.fields(Scenario))
 
 
 def main() -> None:
-    lines = ["label,m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,samples,seed,mc_mean,mc_std_error"]
+    lines = [",".join(["label", *(name for name, _ in PARAMS),
+                       "samples", "seed", "mc_mean", "mc_std_error"])]
     for index, (label, scenario) in enumerate(BER_GRID):
         seed = derived_seed(MASTER_SEED, index)
         estimate = estimate_ber(scenario, SAMPLES, seed)
         fields = [
             label,
-            f"{scenario.m:.12g}", str(scenario.M),
-            *(f"{getattr(scenario, key):.12g}"
-              for key in ("sigma", "rho", "p1_dbm", "p2_dbm", "s", "t", "n")),
+            *(fmt % getattr(scenario, name) for name, fmt in PARAMS),
             str(SAMPLES), str(seed),
             f"{estimate.mean:.17g}", f"{estimate.std_error:.17g}",
         ]

@@ -29,8 +29,14 @@ BETAS = (1e-4, 1e-2, 0.305, 1.0, 5.0, 40.0, 1e3)
 # only shape 1000 has a row there.
 HIGH_ORDER_SHAPES = (1000.0, 5000.0, 3e4, 1e5)
 HIGH_ORDER_BETAS = (0.305, 1.0, 5.0, 40.0, 1e3)
+# Strong interference, where the order-128 Gauss-Laguerre rule is off by up
+# to 1.2e-2, and fig2's link (m 3, M 2, 17/10 dBm, n 3.5) at s = 2t: shape 6
+# at the beta the package computes for it, 6.772144863170228.
+WIDE_BETAS = (1e2, 1e4, 1e8)
+FIG2_AT_TWICE_T = (6.0, 6.772144863170228)
 LAWS = (tuple(itertools.product(SHAPES, BETAS)) + ((1000.0, 1e-2),)
-        + tuple(itertools.product(HIGH_ORDER_SHAPES, HIGH_ORDER_BETAS)))
+        + tuple(itertools.product(HIGH_ORDER_SHAPES, HIGH_ORDER_BETAS))
+        + tuple(itertools.product(SHAPES, WIDE_BETAS)) + (FIG2_AT_TWICE_T,))
 
 
 def reference_ber(shape: float, beta: float) -> mpmath.mpf:

@@ -37,7 +37,7 @@ def _require_finite(**values: float) -> None:
 class Scenario:
     """A complete link configuration, its nine fields in the CSV's column order.
 
-    Nakagami severity m >= 0.5 and branch count M >= 1; mean branch and
+    Nakagami severity m >= 0.5 and branch count 1 <= M <= 2**53; mean branch and
     interferer fading powers sigma = E(h^2) and rho = E(alpha^2); transmit
     powers in dBm, distances s and t in meters and path-loss exponent n.
     Only p2_dbm - p1_dbm and s/t enter the interference-limited model.
@@ -72,6 +72,8 @@ class Scenario:
             raise ValueError(f"path-loss exponent n must be > 0, got {self.n}")
         if not (isinstance(self.M, int) and self.M >= 1):
             raise ValueError(f"M must be an integer >= 1, got {self.M}")
+        if self.M > 2 ** 53:  # shape = M*m would round a larger M to a double
+            raise ValueError(f"M must be <= 2**53, got {self.M}")
 
 
 @dataclass(frozen=True)

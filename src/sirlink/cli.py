@@ -2,9 +2,11 @@
 
 Configuration is a flat INI document with [scenario], [sweep] and [validate]
 sections; command-line flags mirror the config keys and override them.
-[scenario] may leave out M, sigma and rho, which take Scenario's defaults (1).
-[sweep] names up to two axes, the first varying fastest.  `validate` evaluates
-the whole grid as `sweep` does before it makes any Monte Carlo draw.
+The [scenario] keys and the sweep axes are Scenario's fields, in its order;
+M, sigma and rho may be left out and take its defaults (1).  Counts (M,
+samples, seed) are read exactly: 2.0 and 1e6 are whole, 2.5 is not.  [sweep]
+names up to two axes, the first varying fastest.  `validate` evaluates the
+whole grid as `sweep` does before it makes any Monte Carlo draw.
 
 Output is plot-ready CSV: M and pass print as integers, and every other
 column, as every column of `dist`, prints with %.12g (12 significant
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import decimal
 import functools
 import itertools
 import math
@@ -34,7 +37,8 @@ from .channel import Scenario, SirDistribution, sir_cdf, sir_distribution, sir_p
 from .montecarlo import derived_seed, estimate_ber, ks_statistic
 
 SCENARIO_KEYS = tuple(field.name for field in dataclasses.fields(Scenario))
-AXIS_NAMES = ("s", "t", "M", "m", "n", "p1_dbm", "p2_dbm", "sigma", "rho")
+# Scenario's whole-number fields (M), read as counts like samples and seed.
+COUNT_KEYS = tuple(field.name for field in dataclasses.fields(Scenario) if field.type == "int")
 # The two [sweep] slots, innermost first: each names an axis and its values.
 SWEEP_SLOTS = (("axis", "values"), ("second_axis", "second_values"))
 SWEEP_KEYS = tuple(itertools.chain(*SWEEP_SLOTS))
@@ -126,19 +130,18 @@ def _parse_float(section: str, key: str, raw: str) -> float:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
+def _parse_count(section: str, key: str, raw: str) -> int:
+    """A whole number read exactly, never through a float: 2.0 and 1e6 are
+    whole, 2.5, inf and nan are not.  A value of 2**64 or more in size is
+    refused before any int is built (the int of 1e1000000 takes half a minute)."""
     try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
-    return value
-
-
-def _whole_m(section: str, value: float, raw: str) -> int:
-    """M as an int: in [scenario] and on a sweep axis alike it must be a whole
-    number, so 2.0 gives 2 and 2.5, inf and nan are refused."""
-    if not value.is_integer():
-        raise ConfigError(f"[{section}] M values must be integers >= 1, got {raw}")
+        value = decimal.Decimal(raw)
+    except decimal.InvalidOperation:
+        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+    if not (value.is_finite() and value == value.to_integral_value()):
+        raise ConfigError(f"[{section}] {key}: not a whole number: {raw!r}")
+    if value.copy_abs() >= 2 ** 64:
+        raise ConfigError(f"[{section}] {key}: not below 2**64 in size: {raw!r}")
     return int(value)
 
 
@@ -146,14 +149,12 @@ def _parse_values(axis: str, raw: str) -> tuple:
     items = [part for chunk in raw.split(",") for part in chunk.split()]
     if not items:
         raise ConfigError(f"[sweep] values for axis {axis!r} must be non-empty")
+    count = axis in COUNT_KEYS
     out = []
     for item in items:
-        value = _parse_float("sweep", "values", item)
-        if axis == "M":
-            value = _whole_m("sweep", value, item)
-            if value < 1:  # an M axis is refused whole, before any grid point is built
-                raise ConfigError(f"[sweep] M values must be integers >= 1, got {item}")
-        out.append(value)
+        out.append((_parse_count if count else _parse_float)("sweep", "values", item))
+        if count and out[-1] < 1:  # a count axis is refused whole, before any grid point is built
+            raise ConfigError(f"[sweep] {axis} values must be integers >= 1, got {item}")
     return tuple(sorted(out))
 
 
@@ -185,8 +186,8 @@ def _build_spec(sections: dict) -> SweepSpec:
 
     names = axis, second_axis = [sweep_raw.get(key) for key, _ in SWEEP_SLOTS]
     for name in names:
-        if name is not None and name not in AXIS_NAMES:
-            raise ConfigError(f"unknown sweep axis {name!r}; expected one of {AXIS_NAMES}")
+        if name is not None and name not in SCENARIO_KEYS:
+            raise ConfigError(f"unknown sweep axis {name!r}; expected one of {SCENARIO_KEYS}")
     if second_axis is not None and axis is None:
         raise ConfigError("second_axis given without axis")
     if axis is not None and axis == second_axis:
@@ -199,10 +200,8 @@ def _build_spec(sections: dict) -> SweepSpec:
             raise ConfigError(f"[sweep] {key} given without {values_key}")
         axes.append((name, _parse_values(name, sweep_raw[values_key])))
 
-    params = {}
-    for key, raw in scen_raw.items():
-        value = _parse_float("scenario", key, raw)
-        params[key] = _whole_m("scenario", value, raw) if key == "M" else value
+    params = {key: (_parse_count if key in COUNT_KEYS else _parse_float)("scenario", key, raw)
+              for key, raw in scen_raw.items()}
     # A swept parameter needs no base value; seed it with the first axis value.
     for name, values in axes:
         params.setdefault(name, values[0])
@@ -211,14 +210,12 @@ def _build_spec(sections: dict) -> SweepSpec:
     if missing:
         raise ConfigError(f"[scenario] missing required keys: {', '.join(missing)}")
 
-    samples = _parse_int("validate", "samples", val_raw["samples"]) if "samples" in val_raw \
-        else DEFAULT_SAMPLES
-    seed = _parse_int("validate", "seed", val_raw["seed"]) if "seed" in val_raw \
-        else DEFAULT_SEED
-    if seed < 0:
-        raise ConfigError(f"[validate] seed must be >= 0, got {seed}")
+    counts = {key: _parse_count("validate", key, val_raw[key])
+              for key in VALIDATE_KEYS if key in val_raw}
+    if counts.get("seed", 0) < 0:
+        raise ConfigError(f"[validate] seed must be >= 0, got {counts['seed']}")
 
-    return SweepSpec(base=_build_scenario(params), axes=tuple(axes), samples=samples, seed=seed)
+    return SweepSpec(base=_build_scenario(params), axes=tuple(axes), **counts)
 
 
 def parse_config(text: str) -> SweepSpec:
@@ -288,6 +285,8 @@ def _with_mc_columns(row: SweepRow, samples: int, seed: int, threshold: float) -
         estimate = estimate_ber(Scenario(**point), samples, seed, out=draws)
         draws.sort()  # this row's own array: ks_statistic takes no sorted copy
         ks = ks_statistic(draws, SirDistribution(shape=row.shape, beta=row.beta))
+    except MemoryError as exc:  # sample_sir's message names the bytes its gammas need
+        raise ConfigError(f"grid point {point}: {exc}") from None
     except (ValueError, ArithmeticError) as exc:
         raise SweepPointError(point, exc) from exc
     ok = abs(row.ber - estimate.mean) <= 3.0 * estimate.std_error and ks < threshold
@@ -316,9 +315,9 @@ def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
             for index, row in enumerate(_analytic_rows(spec, corrupt_beta))]
 
 
-def rows_to_csv(rows: list, validation: bool = False) -> str:
-    """Render sweep rows as CSV text with the fixed documented header."""
-    header, line, fields = _CSV[bool(validation)]
+def rows_to_csv(rows: list) -> str:
+    """Render rows as CSV with the fixed header; validate's rows (passed set) add MC columns."""
+    header, line, fields = _CSV[bool(rows) and rows[0].passed is not None]
     return "".join([header] + [line % fields(row) for row in rows])
 
 
@@ -344,7 +343,7 @@ def _add_key_flags(sub: argparse.ArgumentParser, section: str) -> None:
     for key in SECTION_KEYS[section]:
         flag = key.replace("_", "-") if section == "sweep" else key
         sub.add_argument(f"--{flag}", dest=key, help=f"override [{section}] {key}",
-                         choices=AXIS_NAMES if key.endswith("axis") else None)
+                         choices=SCENARIO_KEYS if key.endswith("axis") else None)
 
 
 @functools.cache  # parse_args leaves the parser as it found it
@@ -414,8 +413,7 @@ def main(argv=None) -> int:
             if not (math.isfinite(args.corrupt_beta) and args.corrupt_beta > 0.0):
                 raise ConfigError(f"--corrupt-beta must be finite and > 0, got {args.corrupt_beta}")
             rows = validate(spec, corrupt_beta=args.corrupt_beta)
-            text = rows_to_csv(rows, validation=True)
-            _write_output(text, args.out)
+            _write_output(rows_to_csv(rows), args.out)
             if not all(row.passed for row in rows):
                 print("validation FAILED at "
                       f"{sum(not r.passed for r in rows)} of {len(rows)} points",

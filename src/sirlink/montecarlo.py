@@ -88,7 +88,13 @@ def sample_sir(rng: np.random.Generator, scenario: Scenario, size: int):
     # reused buffer use the stream as one (size, M) draw would, and
     # standard_gamma times sigma/m is rng.gamma(m, sigma/m) bit for bit.
     signal = np.empty(size)
-    gammas = np.empty((min(size, _GAMMA_ROWS), scenario.M))
+    rows = min(size, _GAMMA_ROWS)
+    try:
+        gammas = np.empty((rows, scenario.M))
+    except (MemoryError, ValueError):  # numpy refuses a size it cannot allocate or index
+        raise MemoryError(f"{rows} draws of {scenario.M} branch gammas need "
+                          f"{8 * rows * scenario.M} bytes, more than this process "
+                          "can allocate") from None
     for start in range(0, size, _GAMMA_ROWS):
         stop = min(start + _GAMMA_ROWS, size)
         chunk = gammas[:stop - start]

@@ -1,6 +1,7 @@
 """BER-engine tests: dual-route agreement, limits, monotonicity, invariance."""
 
 import csv
+import itertools
 import math
 import random
 import tracemalloc
@@ -84,11 +85,12 @@ class TestBerDirect:
         assert ber_direct(dist).value == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_matches_reference_table(self):
-        # every row of the mpmath Tricomi-U table: shape 0.5 to 1e5, BER from
-        # 0.48 down to 1e-275
+        # every row of the mpmath Tricomi-U table: shape 0.5 to 1e5, beta 1e-4
+        # to 1e8, BER from 0.49994 down to 1e-275, and fig2's link at s = 2t,
+        # where the Gauss-Laguerre route cannot go
         with open(REFERENCE_PATH, encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
-        assert len(rows) == 89
+        assert len(rows) == 120
         misses = []
         for row in rows:
             shape, beta, expected = (float(row[key]) for key in ("shape", "beta", "ber"))
@@ -324,6 +326,32 @@ class TestMonotonicity:
     def test_decreasing_in_fading_parameter(self):
         values = [_ber_value(**{**self.BASE3, "m": m}) for m in (1, 2, 3, 4, 5)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_direct_route_monotone_in_beta_and_shape(self):
+        # Reference-free: the BER rises with beta (stronger interference) and
+        # falls with shape (more diversity).  Each neighbouring pair may miss
+        # by at most the two values' error bounds; laws the direct route
+        # cannot resolve are left out.
+        shapes = (0.5, 1.0, 2.0, 5.0, 20.0, 100.0, 1000.0)
+        betas = tuple(10.0 ** e for e in range(-8, 9))
+        grid = {}
+        for shape, beta in itertools.product(shapes, betas):
+            try:
+                grid[shape, beta] = ber_direct(SirDistribution(shape=shape, beta=beta))
+            except QuadratureError:
+                pass
+        pairs = [((k, b), (k, b2)) for k in shapes for b, b2 in zip(betas, betas[1:])] \
+            + [((k2, b), (k, b)) for b in betas for k, k2 in zip(shapes, shapes[1:])]
+        misses, checked = [], 0
+        for low, high in pairs:
+            if low in grid and high in grid:
+                checked += 1
+                below, above = grid[low], grid[high]
+                if not above.value - below.value >= -(below.abs_error_estimate
+                                                      + above.abs_error_estimate):
+                    misses.append((low, high, below.value, above.value))
+        assert checked >= 200  # all 214 pairs today
+        assert misses == []
 
     def test_decreasing_in_fading_parameter_non_integer(self):
         # non-integer shapes sit outside the GL route's kink-free region, so

@@ -104,6 +104,12 @@ class TestTypes:
         with pytest.raises(ValueError, match=f"^{message}"):
             scenario_with(**fields)
 
+    def test_branch_count_at_most_two_to_53(self):
+        # shape = M*m is a double, which holds every M up to 2**53 exactly
+        assert sir_distribution(scenario_with(m=1.0, M=2 ** 53)).shape == 2 ** 53
+        with pytest.raises(ValueError, match=r"^M must be <= 2\*\*53, got 9007199254740993$"):
+            scenario_with(m=1.0, M=2 ** 53 + 1)
+
     def test_distribution_invariants(self):
         with pytest.raises(ValueError):
             SirDistribution(shape=0.4, beta=1.0)

@@ -14,6 +14,7 @@ from numpy.random import SeedSequence, default_rng
 from conftest import CONFIG_DIR, closed_form_pdf, scen
 from sirlink import (
     CrossCheckError,
+    Scenario,
     SirDistribution,
     ber,
     estimate_ber,
@@ -30,6 +31,8 @@ from sirlink.cli import (
     ks_threshold,
     main,
     parse_config,
+    SCENARIO_KEYS,
+    SweepRow,
     rows_to_csv,
     run_sweep,
     validate,
@@ -252,7 +255,7 @@ class TestParseConfig:
 
     def test_non_integer_branch_values(self):
         for values in ("1, 2.5", "inf", "nan"):
-            with pytest.raises(ConfigError, match="M values must be integers >= 1"):
+            with pytest.raises(ConfigError, match=r"\[sweep\] values: not a whole number"):
                 parse_config(MINIMAL + f"\n[sweep]\naxis = M\nvalues = {values}\n")
 
     def test_branch_count_one_rule(self, tmp_path, capsys):
@@ -264,11 +267,11 @@ class TestParseConfig:
         assert spec.axes == (("M", (1, 3)),)
         assert all(type(value) is int for value in spec.axes[0][1])
         for raw in ("2.5", "inf", "nan"):
-            with pytest.raises(ConfigError, match=r"\[scenario\] M values must be integers >= 1"):
+            with pytest.raises(ConfigError, match=r"\[scenario\] M: not a whole number"):
                 parse_config(MINIMAL.replace("M = 1", f"M = {raw}"))
             assert main(["point", "--m", "2", "--M", raw, "--p1_dbm", "15", "--p2_dbm", "6",
                          "--s", "90", "--t", "90", "--n", "3"]) == 1
-            assert "M values must be integers >= 1" in capsys.readouterr().err
+            assert f"[scenario] M: not a whole number: '{raw}'" in capsys.readouterr().err
         cfg = tmp_path / "point.ini"
         cfg.write_text(MINIMAL)
         printed = []
@@ -276,6 +279,43 @@ class TestParseConfig:
             assert main(["point", "--config", str(cfg), "--M", raw]) == 0
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1] and printed[0].splitlines()[1].split(",")[1] == "2"
+
+    def test_counts_read_exactly(self, tmp_path):
+        # samples and seed are read as M is: 1e6 and 1e3 are whole numbers
+        exact = parse_config(MINIMAL + "\n[validate]\nsamples = 1000000\nseed = 1000\n")
+        cfg = tmp_path / "val.ini"
+        cfg.write_text(MINIMAL + "\n[validate]\nsamples = 1e6\nseed = 1e3\n")
+        with open(cfg, encoding="utf-8") as handle:
+            assert parse_config(handle.read()) == exact
+        assert main(["validate", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("key, raw, message", [
+        ("M", "x", "[scenario] M: not a number: 'x'"),
+        ("M", "2.0000000000000000000001", "[scenario] M: not a whole number"),
+        ("samples", "1e4.5", "[validate] samples: not a number: '1e4.5'"),
+        ("samples", "10000.5", "[validate] samples: not a whole number: '10000.5'"),
+        ("samples", "-inf", "[validate] samples: not a whole number: '-inf'"),
+        ("samples", str(10 ** 23), f"[validate] samples: not below 2**64 in size: '{10 ** 23}'"),
+        ("seed", "nan", "[validate] seed: not a whole number: 'nan'"),
+        ("seed", str(2 ** 64), f"[validate] seed: not below 2**64 in size: '{2 ** 64}'"),
+        ("seed", "-1e300", "[validate] seed: not below 2**64 in size: '-1e300'"),
+        # refused from the text's exponent, before an int of a billion digits is built
+        ("seed", "1e1000000000", "[validate] seed: not below 2**64 in size: '1e1000000000'"),
+    ], ids=["M-x", "M-2.0000000000000000000001", "samples-1e4.5", "samples-10000.5",
+            "samples-minus-inf", "samples-1e23", "seed-nan", "seed-2**64", "seed-minus-1e300",
+            "seed-1e1000000000"])
+    def test_count_refused(self, key, raw, message):
+        text = MINIMAL.replace("M = 1", f"M = {raw}") if key == "M" \
+            else MINIMAL + f"\n[validate]\n{key} = {raw}\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert message in str(info.value)
+
+    def test_largest_counts(self):
+        # 2**53 is the largest M (Scenario's bound); 2**64 - 1 the largest seed
+        spec = parse_config(MINIMAL.replace("M = 1", "M = 9007199254740992.0")
+                            + "\n[validate]\nseed = 18446744073709551615\n")
+        assert (spec.base.M, spec.seed) == (2 ** 53, 2 ** 64 - 1)
 
     def test_scenario_defaults(self, tmp_path, capsys):
         # M, sigma and rho take Scenario's own defaults, all 1
@@ -492,11 +532,20 @@ class TestCsv:
         assert text.endswith("\n")
 
     def test_validation_header(self):
+        # a row whose passed is set is a validate row
         rows = validate(dataclasses.replace(parse_config(MINIMAL), samples=10 ** 4, seed=5))
-        text = rows_to_csv(rows, validation=True)
+        text = rows_to_csv(rows)
         header = text.splitlines()[0]
         assert header.endswith(",mc_mean,mc_std_error,ks_stat,pass")
         assert text.splitlines()[1].split(",")[-1] in ("0", "1")
+
+
+    def test_row_starts_with_scenario_fields(self):
+        # a Scenario field reaches its CSV column through SweepRow's flat fields
+        rows, scenario = dataclasses.fields(SweepRow), dataclasses.fields(Scenario)
+        assert [(f.name, f.type) for f in rows[:len(scenario)]] == \
+            [(f.name, f.type) for f in scenario]
+        assert tuple(f.name for f in scenario) == SCENARIO_KEYS
 
 
 class TestCliProcess:
@@ -541,12 +590,34 @@ class TestCliProcess:
         assert "100000000000000 samples need 800000000000000 bytes" in proc.stderr
 
     def test_validate_sample_count_past_index_range(self):
-        # numpy refuses 10**23 entries before any allocation, with a ValueError
+        # numpy refuses 2**63 entries, one past its index range, before any
+        # allocation, with a ValueError (from 2**64 on the count is refused
+        # as it is read)
         proc = run_cli("validate", "--config", os.path.join(CONFIG_DIR, "fig3_validate.ini"),
-                       "--samples", str(10 ** 23))
+                       "--samples", str(2 ** 63))
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
-        assert f"{10 ** 23} samples need {8 * 10 ** 23} bytes" in proc.stderr
+        assert f"{2 ** 63} samples need {8 * 2 ** 63} bytes" in proc.stderr
+
+    def test_validate_branch_count_too_large_to_draw(self):
+        # shape 2e12 has a BER, but a block's (8192, M) gamma buffer is 6.6e16 bytes
+        proc = run_cli("validate", "--m", "2", "--M", "1e12", "--p1_dbm", "15", "--p2_dbm", "6",
+                       "--s", "90", "--t", "90", "--n", "3", "--samples", "10000")
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "config error: grid point {'m': 2.0, 'M': 1000000000000, 'sigma': 1.0, 'rho': 1.0, "
+            "'p1_dbm': 15.0, 'p2_dbm': 6.0, 's': 90.0, 't': 90.0, 'n': 3.0}: 8192 draws of "
+            "1000000000000 branch gammas need 65536000000000000 bytes, more than this process "
+            "can allocate\n")
+
+    @pytest.mark.parametrize("raw", ["9007199254740993", "1e17", "1e300"])
+    def test_branch_count_beyond_exact_double(self, raw, capsys):
+        # M above 2**53 would be rounded in shape = M*m; 1e300 is refused as it is read
+        assert main(["point", "--m", "2", "--M", raw, "--p1_dbm", "15", "--p2_dbm", "6",
+                     "--s", "90", "--t", "90", "--n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 200
 
     @pytest.mark.parametrize("points", [10 ** 17, 10 ** 23], ids=["1e17", "1e23"])
     def test_dist_point_count_too_large(self, points):
