@@ -15,13 +15,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
 
 from conftest import BER_GRID, GOLDEN_PATH, scen  # noqa: E402
 from sirlink import Scenario, estimate_ber  # noqa: E402
+from sirlink.cli import COUNT_KEYS  # noqa: E402
 from sirlink.montecarlo import derived_seed  # noqa: E402
 
 SAMPLES = 10 ** 7
 MASTER_SEED = 20230215
-# One column per Scenario field, in its order: whole-number fields print
-# with %d and the others with 12 significant digits.
-PARAMS = tuple((field.name, "%d" if field.type == "int" else "%.12g")
+# One column per Scenario field, in its order: counts print with %d and the
+# others with 12 significant digits.
+PARAMS = tuple((field.name, "%d" if field.name in COUNT_KEYS else "%.12g")
                for field in dataclasses.fields(Scenario))
 
 

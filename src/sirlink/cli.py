@@ -106,10 +106,10 @@ _COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow))
 _SWEEP_COLUMNS = _COLUMNS[:_COLUMNS.index("mc_mean")]
 HEADER = ",".join(_SWEEP_COLUMNS)
 HEADER_VALIDATE = ",".join(_COLUMNS[:-1] + ("pass",))
-# Each command's rows print with one %-format: integers for M and pass,
-# 12 significant digits for every other column.
+# Each command's rows print with one %-format: integers for the counts and
+# pass, 12 significant digits for every other column.
 _CSV = {validation: (header + "\n",
-                     ",".join("%d" if name in ("M", "passed") else "%.12g"
+                     ",".join("%d" if name in COUNT_KEYS + ("passed",) else "%.12g"
                               for name in columns) + "\n",
                      operator.attrgetter(*columns))
         for validation, header, columns in ((False, HEADER, _SWEEP_COLUMNS),
@@ -145,14 +145,14 @@ def _parse_count(section: str, key: str, raw: str) -> int:
     return int(value)
 
 
-def _parse_values(axis: str, raw: str) -> tuple:
+def _parse_values(axis: str, key: str, raw: str) -> tuple:
     items = [part for chunk in raw.split(",") for part in chunk.split()]
     if not items:
         raise ConfigError(f"[sweep] values for axis {axis!r} must be non-empty")
     count = axis in COUNT_KEYS
     out = []
     for item in items:
-        out.append((_parse_count if count else _parse_float)("sweep", "values", item))
+        out.append((_parse_count if count else _parse_float)("sweep", key, item))
         if count and out[-1] < 1:  # a count axis is refused whole, before any grid point is built
             raise ConfigError(f"[sweep] {axis} values must be integers >= 1, got {item}")
     return tuple(sorted(out))
@@ -198,7 +198,7 @@ def _build_spec(sections: dict) -> SweepSpec:
             continue
         if values_key not in sweep_raw:
             raise ConfigError(f"[sweep] {key} given without {values_key}")
-        axes.append((name, _parse_values(name, sweep_raw[values_key])))
+        axes.append((name, _parse_values(name, values_key, sweep_raw[values_key])))
 
     params = {key: (_parse_count if key in COUNT_KEYS else _parse_float)("scenario", key, raw)
               for key, raw in scen_raw.items()}

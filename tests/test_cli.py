@@ -257,6 +257,13 @@ class TestParseConfig:
         for values in ("1, 2.5", "inf", "nan"):
             with pytest.raises(ConfigError, match=r"\[sweep\] values: not a whole number"):
                 parse_config(MINIMAL + f"\n[sweep]\naxis = M\nvalues = {values}\n")
+            # a refusal names the key that holds the value
+            with pytest.raises(ConfigError, match=r"\[sweep\] second_values: not a whole number"):
+                parse_config(MINIMAL + "\n[sweep]\naxis = s\nvalues = 80\n"
+                             f"second_axis = M\nsecond_values = {values}\n")
+        with pytest.raises(ConfigError, match=r"\[sweep\] second_values: not a number: 'x'"):
+            parse_config(MINIMAL + "\n[sweep]\naxis = s\nvalues = 80\n"
+                         "second_axis = t\nsecond_values = x\n")
 
     def test_branch_count_one_rule(self, tmp_path, capsys):
         # M must be a whole number in [scenario], on the command line and on
