@@ -321,9 +321,8 @@ def _route(dist: SirDistribution) -> str:
     return f"direct route at shape={dist.shape!r}, beta={dist.beta!r}"
 
 
-def _direct_result(dist: SirDistribution, log_ber: float, bound: float,
-                   nodes: int) -> QuadratureResult:
-    """One law's row of _direct as a QuadratureResult; a NaN or a loose bound raises.
+def _direct_result(dist: SirDistribution, log_ber: float, bound: float) -> tuple:
+    """One law's row of _direct as (BER, absolute error bound); a NaN or a loose bound raises.
 
     A law whose rule was not found (bound inf) raises without an estimate.
     """
@@ -337,8 +336,7 @@ def _direct_result(dist: SirDistribution, log_ber: float, bound: float,
             f"{_route(dist)}: quadrature did not converge: relative error bound {bound:.1e} "
             f"exceeds the tolerance {DEFAULT_REL_TOL:.0e}",
             *((value, bound * value) if bound < math.inf else ()))
-    return QuadratureResult(value=value, abs_error_estimate=bound * value,
-                            evaluations=int(nodes))
+    return value, bound * value
 
 
 def ber_direct(dist: SirDistribution) -> QuadratureResult:
@@ -349,7 +347,8 @@ def ber_direct(dist: SirDistribution) -> QuadratureResult:
     naming this route and the law's shape and beta.
     """
     log_ber, bound, nodes = _direct(np.array([dist.shape]), np.array([dist.beta]))
-    return _direct_result(dist, log_ber[0], bound[0], nodes[0])
+    value, error = _direct_result(dist, log_ber[0], bound[0])
+    return QuadratureResult(value=value, abs_error_estimate=error, evaluations=int(nodes[0]))
 
 
 def _gl(shape, beta):
@@ -373,17 +372,6 @@ def ber_gl(dist: SirDistribution) -> float:
     return float(_gl(np.array([dist.shape]), np.array([dist.beta]))[0])
 
 
-def _cross_checked(dist: SirDistribution, log_ber: float, bound: float, nodes: int,
-                   alt: float) -> BerResult:
-    direct = _direct_result(dist, log_ber, bound, nodes)
-    disagreement = abs(direct.value - alt)
-    if not disagreement < CROSS_CHECK_THRESHOLD:
-        raise CrossCheckError(direct.value, alt, CROSS_CHECK_THRESHOLD)
-    return BerResult(ber=direct.value,
-                     quad_error=direct.abs_error_estimate,
-                     route_disagreement=disagreement)
-
-
 def ber_batch(dists) -> list:
     """ber() of every SIR law, in order, each route passing over _PASS_LAWS laws at once.
 
@@ -396,11 +384,15 @@ def ber_batch(dists) -> list:
     for start in range(0, len(dists), _PASS_LAWS):
         part = dists[start:start + _PASS_LAWS]
         shape, beta = np.array([d.shape for d in part]), np.array([d.beta for d in part])
-        for dist, log_ber, bound, nodes, alt in zip(part, *_direct(shape, beta),
-                                                    _gl(shape, beta).tolist()):
+        log_bers, bounds, _ = _direct(shape, beta)
+        for dist, log_ber, bound, alt in zip(part, log_bers, bounds, _gl(shape, beta).tolist()):
             try:
-                outcomes.append(_cross_checked(dist, log_ber, bound, nodes, alt))
-            except (QuadratureError, CrossCheckError, ValueError) as exc:
+                value, error = _direct_result(dist, log_ber, bound)
+                gap = abs(value - alt)
+                outcomes.append(BerResult(ber=value, quad_error=error, route_disagreement=gap)
+                                if gap < CROSS_CHECK_THRESHOLD
+                                else CrossCheckError(value, alt, CROSS_CHECK_THRESHOLD))
+            except (QuadratureError, ValueError) as exc:
                 outcomes.append(exc)
     return outcomes
 

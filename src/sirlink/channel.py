@@ -108,8 +108,12 @@ def interference_scale(scenario: Scenario) -> float:
 
 def sir_distribution(scenario: Scenario) -> SirDistribution:
     """Reduce a scenario to the (shape, beta) parameters of its SIR law."""
+    try:
+        scale = interference_scale(scenario)
+    except OverflowError:  # float ** raises past the double range, where * gives inf
+        scale = math.inf
     return SirDistribution(shape=scenario.M * scenario.m,
-                           beta=scenario.m / scenario.sigma * interference_scale(scenario))
+                           beta=scenario.m / scenario.sigma * scale)
 
 
 def sir_pdf(dist: SirDistribution, y):

@@ -195,6 +195,8 @@ def _build_spec(sections: dict) -> SweepSpec:
     axes = []
     for name, (key, values_key) in zip(names, SWEEP_SLOTS):
         if name is None:
+            if values_key in sweep_raw:
+                raise ConfigError(f"[sweep] {values_key} given without {key}")
             continue
         if values_key not in sweep_raw:
             raise ConfigError(f"[sweep] {key} given without {values_key}")
@@ -233,6 +235,15 @@ def _grid_points(spec: SweepSpec):
         yield point
 
 
+def _law(point: dict, corrupt_beta: float = 1.0) -> SirDistribution:
+    """The grid point's SIR law, its beta scaled by corrupt_beta, or its SweepPointError."""
+    try:
+        law = sir_distribution(_build_scenario(point))
+        return law if corrupt_beta == 1.0 else dataclasses.replace(law, beta=law.beta * corrupt_beta)
+    except (ValueError, ArithmeticError) as exc:
+        raise SweepPointError(point, exc) from exc
+
+
 def _analytic_rows(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     """The SweepRow of each grid point, in grid order, without Monte Carlo columns.
 
@@ -241,25 +252,21 @@ def _analytic_rows(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     failing point in grid order raises its SweepPointError.  Each law's beta
     is scaled by corrupt_beta.
     """
-    points, laws, failure = [], [], None
+    built, failure = [], None
     for point in _grid_points(spec):
         try:
-            law = sir_distribution(_build_scenario(point))
-            if corrupt_beta != 1.0:
-                law = SirDistribution(shape=law.shape, beta=law.beta * corrupt_beta)
-        except (ValueError, ArithmeticError) as exc:
-            failure = SweepPointError(point, exc)
+            built.append((point, _law(point, corrupt_beta)))
+        except SweepPointError as exc:
+            failure = exc
             break
-        points.append(point)
-        laws.append(law)
     rows = []
-    for point, law, result in zip(points, laws, ber_batch(laws)):
+    for (point, law), result in zip(built, ber_batch([law for _, law in built])):
         if isinstance(result, Exception):
             raise SweepPointError(point, result) from result
         rows.append(SweepRow(**point, shape=law.shape, beta=law.beta, ber=result.ber,
                              quad_err=result.quad_error))
     if failure is not None:
-        raise failure from failure.cause
+        raise failure
     return rows
 
 
@@ -428,7 +435,7 @@ def main(argv=None) -> int:
             except (MemoryError, ValueError):  # numpy refuses a size it cannot allocate or index
                 raise ConfigError(f"dist: {args.points} points need {8 * args.points} bytes "
                                   "for their grid, more than this process can allocate") from None
-            pdf, cdf = _law_on_grid(sir_distribution(spec.base), grid)
+            pdf, cdf = _law_on_grid(_law(dataclasses.asdict(spec.base)), grid)
             columns = zip(grid.tolist(), pdf.tolist(), cdf.tolist())
             text = "".join(["y,pdf,cdf\n"] + ["%.12g,%.12g,%.12g\n" % row for row in columns])
         _write_output(text, args.out)

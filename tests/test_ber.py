@@ -220,19 +220,32 @@ class TestBerBatch:
         assert self._bits(outcomes[0]) == self._bits(outcomes[2]) == alone
 
     def test_gl_route_is_its_one_law_case(self):
-        # a law's Gauss-Laguerre value in a batch is ber_gl's, to the bit:
-        # through the route gap, or through a cross-check failure's values
-        checked = 0
-        for dist, outcome in zip(self.LAWS, ber_batch(self.LAWS)):
-            if isinstance(outcome, CrossCheckError):
-                assert outcome.gauss_laguerre.hex() == ber_gl(dist).hex()
-            elif isinstance(outcome, BerResult):
-                gap = abs(ber_direct(dist).value - ber_gl(dist))
-                assert outcome.route_disagreement.hex() == gap.hex()
-            else:
+        # a law's outcome in a batch is built from its one-law routes, to the
+        # bit: ber_direct's value and bound or its refusal, and ber_gl's value
+        # through the route gap or a cross-check failure; over LAWS and every
+        # row of the reference table
+        with open(REFERENCE_PATH, encoding="utf-8") as handle:
+            table = [SirDistribution(shape=float(row["shape"]), beta=float(row["beta"]))
+                     for row in csv.DictReader(handle)]
+        laws = list(self.LAWS) + table
+        kinds = set()
+        for dist, outcome in zip(laws, ber_batch(laws)):
+            kinds.add(type(outcome))
+            try:
+                direct = ber_direct(dist)
+            except QuadratureError as exc:
+                assert isinstance(outcome, QuadratureError) and str(outcome) == str(exc)
                 continue
-            checked += 1
-        assert checked == len(self.LAWS) - 1
+            if isinstance(outcome, CrossCheckError):
+                assert outcome.direct.hex() == direct.value.hex()
+                assert outcome.gauss_laguerre.hex() == ber_gl(dist).hex()
+            else:
+                assert isinstance(outcome, BerResult)
+                assert outcome.ber.hex() == direct.value.hex()
+                assert outcome.quad_error.hex() == direct.abs_error_estimate.hex()
+                gap = abs(direct.value - ber_gl(dist))
+                assert outcome.route_disagreement.hex() == gap.hex()
+        assert kinds == {BerResult, CrossCheckError, QuadratureError}
 
 
 class TestBerGl:

@@ -209,6 +209,19 @@ y,pdf,cdf
 """
 
 
+# Laws that cannot be built, each reached from a valid scenario: beta
+# underflows to 0, overflows by division, or overflows in a power.
+UNBUILDABLE = [
+    (name, "--m 2 --M 1 --p1_dbm 15 --p2_dbm 6 --t 90 --n 3 " + flags,
+     dict(m=2.0, M=1, sigma=sigma, rho=1.0, p1_dbm=15.0, p2_dbm=6.0, s=s, t=90.0, n=3.0), cause)
+    for name, flags, sigma, s, cause in (
+        ("beta-0", "--s 1e-300", 1.0, 1e-300, "beta must be > 0, got 0.0"),
+        ("beta-inf-by-division", "--s 90 --sigma 1e-320", 1e-320, 90.0,
+         "beta must be finite, got inf"),
+        ("beta-inf-by-power", "--s 1e300", 1.0, 1e300, "beta must be finite, got inf"),
+    )]
+
+
 def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "sirlink", *args],
                           capture_output=True, text=True, cwd=cwd)
@@ -681,9 +694,14 @@ class TestCliProcess:
          "config error: axis and second_axis must differ\n"),
         ("sweep", MINIMAL + "\n[sweep]\naxis = s\nvalues = 90\nsecond_axis = t\n", "",
          "config error: [sweep] second_axis given without second_values\n"),
+        # values without their axis are refused, not dropped
+        ("sweep", MINIMAL, "--values 1,2", "config error: [sweep] values given without axis\n"),
+        ("sweep", MINIMAL, "--axis s --values 80 --second-values 1,2",
+         "config error: [sweep] second_values given without second_axis\n"),
     ], ids=["m-0.1", "m-inf", "sigma-inf", "n-inf", "seed-negative", "dist-ymax-inf",
             "corrupt-beta-0", "corrupt-beta-nan", "M-0", "unknown-axis",
-            "second-axis-alone", "same-axis-twice", "second-axis-without-values"])
+            "second-axis-alone", "same-axis-twice", "second-axis-without-values",
+            "values-without-axis", "second-values-without-second-axis"])
     def test_parse_error_exit_code(self, tmp_path, command, config, flags, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(config)
@@ -719,8 +737,12 @@ class TestCliProcess:
         ("point", "--m 1e18 --M 1 --p1_dbm 0 --p2_dbm -3180 --s 1 --t 1 --n 3",
          "direct route at shape=1e+18, beta=9.999987484955999e-301: quadrature did not "
          "converge: relative error bound inf"),
+        # a law that cannot be built: point and dist print the same line
+        *[(command, flags, f"error: evaluation failed at grid point {point}: {cause}\n")
+          for _, flags, point, cause in UNBUILDABLE for command in ("point", "dist")],
     ], ids=["shape-0.5", "shape-320", "shape-100", "shape-1e8", "nodes-1e25", "nodes-1e17",
-            "nodes-1e18"])
+            "nodes-1e18",
+            *[f"{command}-{name}" for name, *_ in UNBUILDABLE for command in ("point", "dist")]])
     def test_numerical_failure_exit_code(self, command, flags, message):
         proc = run_cli(command, *flags.split())
         assert proc.returncode == 2
