@@ -84,13 +84,12 @@ class QuadratureError(RuntimeError):
 class CrossCheckError(RuntimeError):
     """The two BER routes disagreed; carries both values."""
 
-    def __init__(self, direct: float, gauss_laguerre: float, threshold: float):
+    def __init__(self, direct: float, gauss_laguerre: float):
         super().__init__(
             f"BER routes disagree: direct={direct!r}, gauss_laguerre={gauss_laguerre!r}, "
-            f"|diff|={abs(direct - gauss_laguerre):.3e} >= {threshold:.1e}")
+            f"|diff|={abs(direct - gauss_laguerre):.3e} >= {CROSS_CHECK_THRESHOLD:.1e}")
         self.direct = direct
         self.gauss_laguerre = gauss_laguerre
-        self.threshold = threshold
 
 
 @dataclass(frozen=True)
@@ -391,7 +390,7 @@ def ber_batch(dists) -> list:
                 gap = abs(value - alt)
                 outcomes.append(BerResult(ber=value, quad_error=error, route_disagreement=gap)
                                 if gap < CROSS_CHECK_THRESHOLD
-                                else CrossCheckError(value, alt, CROSS_CHECK_THRESHOLD))
+                                else CrossCheckError(value, alt))
             except (QuadratureError, ValueError) as exc:
                 outcomes.append(exc)
     return outcomes

@@ -79,19 +79,10 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One evaluated grid point; scenario parameters plus derived quantities."""
+    """One evaluated grid point: its scenario and SIR law, then derived quantities."""
 
-    m: float
-    M: int
-    sigma: float
-    rho: float
-    p1_dbm: float
-    p2_dbm: float
-    s: float
-    t: float
-    n: float
-    shape: float
-    beta: float
+    scenario: Scenario
+    law: SirDistribution
     ber: float
     quad_err: float
     mc_mean: Optional[float] = None
@@ -100,20 +91,24 @@ class SweepRow:
     passed: Optional[bool] = None
 
 
-# CSV columns follow SweepRow's field order; validate adds the Monte Carlo
-# fields from mc_mean on, and `passed` is printed as `pass`.
-_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow))
-_SWEEP_COLUMNS = _COLUMNS[:_COLUMNS.index("mc_mean")]
-HEADER = ",".join(_SWEEP_COLUMNS)
+# CSV columns: Scenario's fields, then the law's, then SweepRow's own from ber
+# on; validate adds the Monte Carlo fields from mc_mean on, and `passed` is
+# printed as `pass`.
+_PATHS = (tuple(f"scenario.{key}" for key in SCENARIO_KEYS)
+          + tuple(f"law.{field.name}" for field in dataclasses.fields(SirDistribution))
+          + tuple(field.name for field in dataclasses.fields(SweepRow)[2:]))
+_COLUMNS = tuple(path.rpartition(".")[2] for path in _PATHS)
+_SWEEP_END = _COLUMNS.index("mc_mean")
+HEADER = ",".join(_COLUMNS[:_SWEEP_END])
 HEADER_VALIDATE = ",".join(_COLUMNS[:-1] + ("pass",))
 # Each command's rows print with one %-format: integers for the counts and
 # pass, 12 significant digits for every other column.
 _CSV = {validation: (header + "\n",
                      ",".join("%d" if name in COUNT_KEYS + ("passed",) else "%.12g"
-                              for name in columns) + "\n",
-                     operator.attrgetter(*columns))
-        for validation, header, columns in ((False, HEADER, _SWEEP_COLUMNS),
-                                            (True, HEADER_VALIDATE, _COLUMNS))}
+                              for name in _COLUMNS[:end]) + "\n",
+                     operator.attrgetter(*_PATHS[:end]))
+        for validation, header, end in ((False, HEADER, _SWEEP_END),
+                                        (True, HEADER_VALIDATE, len(_PATHS)))}
 
 
 def _build_scenario(params: dict) -> Scenario:
@@ -235,11 +230,14 @@ def _grid_points(spec: SweepSpec):
         yield point
 
 
-def _law(point: dict, corrupt_beta: float = 1.0) -> SirDistribution:
-    """The grid point's SIR law, its beta scaled by corrupt_beta, or its SweepPointError."""
+def _law(point: dict, corrupt_beta: float = 1.0) -> tuple:
+    """The grid point's checked Scenario and its SIR law, the law's beta scaled by
+    corrupt_beta; or the point's SweepPointError."""
     try:
-        law = sir_distribution(_build_scenario(point))
-        return law if corrupt_beta == 1.0 else dataclasses.replace(law, beta=law.beta * corrupt_beta)
+        scenario = _build_scenario(point)
+        law = sir_distribution(scenario)
+        return scenario, (law if corrupt_beta == 1.0
+                          else dataclasses.replace(law, beta=law.beta * corrupt_beta))
     except (ValueError, ArithmeticError) as exc:
         raise SweepPointError(point, exc) from exc
 
@@ -255,16 +253,15 @@ def _analytic_rows(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     built, failure = [], None
     for point in _grid_points(spec):
         try:
-            built.append((point, _law(point, corrupt_beta)))
+            built.append(_law(point, corrupt_beta))
         except SweepPointError as exc:
             failure = exc
             break
     rows = []
-    for (point, law), result in zip(built, ber_batch([law for _, law in built])):
+    for (scenario, law), result in zip(built, ber_batch([law for _, law in built])):
         if isinstance(result, Exception):
-            raise SweepPointError(point, result) from result
-        rows.append(SweepRow(**point, shape=law.shape, beta=law.beta, ber=result.ber,
-                             quad_err=result.quad_error))
+            raise SweepPointError(dataclasses.asdict(scenario), result) from result
+        rows.append(SweepRow(scenario, law, ber=result.ber, quad_err=result.quad_error))
     if failure is not None:
         raise failure
     return rows
@@ -280,18 +277,18 @@ def ks_threshold(samples: int) -> float:
 
 
 def _with_mc_columns(row: SweepRow, samples: int, seed: int, threshold: float) -> SweepRow:
-    """The row plus its Monte Carlo columns, sampling the scenario and testing
-    the law that its own fields give; its draws are freed on return."""
-    point = {key: getattr(row, key) for key in SCENARIO_KEYS}
+    """The row plus its Monte Carlo columns, sampling its scenario and testing
+    its law; its draws are freed on return."""
+    point = dataclasses.asdict(row.scenario)
     try:
         draws = np.empty(samples)
     except (MemoryError, ValueError):  # numpy refuses a size it cannot allocate or index
         raise ConfigError(f"grid point {point}: {samples} samples need {8 * samples} "
                           "bytes for their draws, more than this process can allocate") from None
     try:
-        estimate = estimate_ber(Scenario(**point), samples, seed, out=draws)
+        estimate = estimate_ber(row.scenario, samples, seed, out=draws)
         draws.sort()  # this row's own array: ks_statistic takes no sorted copy
-        ks = ks_statistic(draws, SirDistribution(shape=row.shape, beta=row.beta))
+        ks = ks_statistic(draws, row.law)
     except MemoryError as exc:  # sample_sir's message names the bytes its gammas need
         raise ConfigError(f"grid point {point}: {exc}") from None
     except (ValueError, ArithmeticError) as exc:
@@ -435,7 +432,7 @@ def main(argv=None) -> int:
             except (MemoryError, ValueError):  # numpy refuses a size it cannot allocate or index
                 raise ConfigError(f"dist: {args.points} points need {8 * args.points} bytes "
                                   "for their grid, more than this process can allocate") from None
-            pdf, cdf = _law_on_grid(_law(dataclasses.asdict(spec.base)), grid)
+            pdf, cdf = _law_on_grid(_law(dataclasses.asdict(spec.base))[1], grid)
             columns = zip(grid.tolist(), pdf.tolist(), cdf.tolist())
             text = "".join(["y,pdf,cdf\n"] + ["%.12g,%.12g,%.12g\n" % row for row in columns])
         _write_output(text, args.out)

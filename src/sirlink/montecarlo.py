@@ -51,14 +51,10 @@ class McEstimate:
 
     mean: float
     std_error: float
-    samples: int
-    seed: int
 
     def __post_init__(self):
         if not self.std_error >= 0.0:
             raise ValueError("std_error must be >= 0")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
 
 
 def _interferer_power(rng: np.random.Generator, rho: float, size: int):
@@ -139,7 +135,7 @@ def _block_partial(scenario: Scenario, seed: int, out, block) -> tuple:
     return p.size, mean, float(np.sum(p))
 
 
-def _fold(partials, seed: int) -> McEstimate:
+def _fold(partials) -> McEstimate:
     """Fold per-block (count, mean, sum_sq_dev) partials, in block order, into one estimate."""
     n_acc = 0
     mean_acc = 0.0
@@ -151,10 +147,7 @@ def _fold(partials, seed: int) -> McEstimate:
         m2_acc += m2 + delta * delta * n_acc * count / total
         n_acc = total
     variance = m2_acc / (n_acc - 1) if n_acc > 1 else 0.0
-    return McEstimate(mean=mean_acc,
-                      std_error=math.sqrt(variance / n_acc),
-                      samples=n_acc,
-                      seed=seed)
+    return McEstimate(mean=mean_acc, std_error=math.sqrt(variance / n_acc))
 
 
 def derived_seed(master: int, *key: int) -> int:
@@ -179,7 +172,7 @@ def estimate_ber(scenario: Scenario, samples: int, seed: int, out=None) -> McEst
                                 and out.shape == (samples,) and out.flags.writeable):
         raise ValueError(f"out must be a writable float64 array of {samples} entries")
     with ThreadPoolExecutor(WORKERS) as pool:
-        return _fold(pool.map(partial(_block_partial, scenario, seed, out), blocks), seed)
+        return _fold(pool.map(partial(_block_partial, scenario, seed, out), blocks))
 
 
 def _ks_terms(ordered, dist: SirDistribution, index) -> tuple:

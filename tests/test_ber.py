@@ -12,6 +12,7 @@ from scipy import integrate, special
 
 from conftest import BER_GRID, FIG2, FIG3, FIG4, REFERENCE_PATH, scen
 from sirlink import (
+    CROSS_CHECK_THRESHOLD,
     DEFAULT_GL_ORDER,
     BerResult,
     CrossCheckError,
@@ -314,7 +315,7 @@ class TestBer:
             ber(worst_case)
         err = info.value
         assert math.isfinite(err.direct) and math.isfinite(err.gauss_laguerre)
-        assert abs(err.direct - err.gauss_laguerre) >= err.threshold
+        assert abs(err.direct - err.gauss_laguerre) >= CROSS_CHECK_THRESHOLD
 
 
 def _ber_value(**kwargs):

@@ -1,6 +1,9 @@
 """Config parsing, sweep runner, validation harness and CLI process tests."""
 
+import contextlib
 import dataclasses
+import gc
+import io
 import os
 import subprocess
 import sys
@@ -14,7 +17,6 @@ from numpy.random import SeedSequence, default_rng
 from conftest import CONFIG_DIR, closed_form_pdf, scen
 from sirlink import (
     CrossCheckError,
-    Scenario,
     SirDistribution,
     ber,
     estimate_ber,
@@ -24,6 +26,7 @@ from sirlink import (
     sir_distribution,
 )
 from sirlink.cli import (
+    HEADER,
     ConfigError,
     SweepPointError,
     _build_scenario,
@@ -32,7 +35,6 @@ from sirlink.cli import (
     main,
     parse_config,
     SCENARIO_KEYS,
-    SweepRow,
     rows_to_csv,
     run_sweep,
     validate,
@@ -368,7 +370,7 @@ class TestRunSweep:
 
     def test_diversity_grid_monotone(self):
         rows = run_sweep(parse_config(DIVERSITY_GRID))
-        assert [row.M for row in rows] == [1, 2, 3, 4]
+        assert [row.scenario.M for row in rows] == [1, 2, 3, 4]
         bers = [row.ber for row in rows]
         assert all(a > b for a, b in zip(bers, bers[1:]))
 
@@ -380,7 +382,7 @@ class TestRunSweep:
 
     def test_lexicographic_ordering(self):
         rows = run_sweep(parse_config(TWO_AXIS))
-        key = [(row.s, row.t) for row in rows]
+        key = [(row.scenario.s, row.scenario.t) for row in rows]
         assert key == sorted(key)
 
     def test_point_error_tagged(self):
@@ -404,6 +406,35 @@ class TestRunSweep:
         argv[argv.index("--axis") + 1:] = ["m", "--values", "0.3, 0.5"]
         assert main(argv) == 1
         assert "m must be >= 0.5" in capsys.readouterr().err
+
+    def test_ops_keep_nothing_but_their_output(self):
+        # the benchmark repeats its ops and reads peak RSS, so a cache of
+        # results would show there as a gain; each op here is a new 200-point
+        # grid, so a cache keyed by its input grows as one that keeps every
+        # result would, by megabytes over 200 ops.  Python's and numpy's own
+        # allocation caches hold about 40 KB more at 100 to 800 ops.
+        argv = ["sweep", "--config", os.path.join(CONFIG_DIR, "fig4_sweep.ini"),
+                "--values", " ".join(str(0.5 * step) for step in range(20)),
+                "--second-axis", "t", "--second-values", "80 85 90 95 100 105 110 115 120 125"]
+
+        def op(index):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv + ["--p1_dbm", str(15 + index / 1000)]) == 0
+            return out.getvalue()
+
+        outputs = [op(index) for index in range(3)]
+        assert all(text.count("\n") == 201 for text in outputs)
+        tracemalloc.start()
+        try:
+            gc.collect()  # garbage in reference cycles is not kept
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(3, 203):
+                op(index)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 10 * max(map(len, outputs))
 
     def test_point_prints_its_sweep_row(self, capsys):
         # a law's bits do not depend on the grid it is evaluated in
@@ -456,9 +487,15 @@ class TestValidate:
         assert calls == []
 
     def test_corrupted_beta_fails(self):
-        rows = validate(dataclasses.replace(parse_config(DIVERSITY_GRID), samples=10 ** 5,
-                                            seed=21), corrupt_beta=1.5)
+        # the scaled law is tested against draws of the physical scenario
+        spec = dataclasses.replace(parse_config(DIVERSITY_GRID), samples=10 ** 5, seed=21)
+        rows = validate(spec, corrupt_beta=1.5)
         assert all(not row.passed for row in rows)
+        assert all(row.ks_stat >= ks_threshold(spec.samples) for row in rows)
+        assert [row.law.beta for row in rows] == \
+            [1.5 * sir_distribution(row.scenario).beta for row in rows]
+        assert [(row.mc_mean, row.mc_std_error) for row in rows] == \
+            [(row.mc_mean, row.mc_std_error) for row in validate(spec)]
 
     def test_small_sample_band_scales(self):
         rows = validate(dataclasses.replace(parse_config(MINIMAL), samples=10 ** 4, seed=22))
@@ -475,7 +512,8 @@ class TestValidate:
                                    seed=23)
         rows = validate(spec)
         for index, (row, point) in enumerate(zip(rows, _grid_points(spec))):
-            scenario = _build_scenario(point)
+            scenario = row.scenario
+            assert scenario == _build_scenario(point)
             seed = derived_seed(spec.seed, index, 0)
             estimate = estimate_ber(scenario, spec.samples, seed)
             assert (row.mc_mean, row.mc_std_error) == (estimate.mean, estimate.std_error)
@@ -484,8 +522,7 @@ class TestValidate:
                            size=min(montecarlo.BLOCK_SIZE, spec.samples - start))
                 for i, start in enumerate(range(0, spec.samples, montecarlo.BLOCK_SIZE))])
             assert draws.size == spec.samples
-            dist = SirDistribution(shape=row.shape, beta=row.beta)
-            assert row.ks_stat == ks_statistic(draws, dist)
+            assert row.ks_stat == ks_statistic(draws, row.law)
 
     def test_worker_count_keeps_rows(self, monkeypatch):
         spec = dataclasses.replace(parse_config(FIG2_POINT), samples=3 * 65536 + 17, seed=24)
@@ -561,11 +598,9 @@ class TestCsv:
 
 
     def test_row_starts_with_scenario_fields(self):
-        # a Scenario field reaches its CSV column through SweepRow's flat fields
-        rows, scenario = dataclasses.fields(SweepRow), dataclasses.fields(Scenario)
-        assert [(f.name, f.type) for f in rows[:len(scenario)]] == \
-            [(f.name, f.type) for f in scenario]
-        assert tuple(f.name for f in scenario) == SCENARIO_KEYS
+        # the columns are Scenario's fields, then the law's, then the row's own
+        law = [field.name for field in dataclasses.fields(SirDistribution)]
+        assert HEADER.split(",") == [*SCENARIO_KEYS, *law, "ber", "quad_err"]
 
 
 class TestCliProcess:

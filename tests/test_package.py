@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ PUBLIC_NAMES = [
 ]
 SCRIPTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 README_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+PYPROJECT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 
 
 def test_public_surface():
@@ -27,6 +29,13 @@ def test_public_surface():
     assert sirlink.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(sirlink, name) is not None
+
+
+def test_version_matches_pyproject():
+    # read with a regex: tomllib is not in Python 3.10
+    with open(PYPROJECT_PATH, encoding="utf-8") as handle:
+        (version,) = re.findall(r'^version = "([^"]+)"$', handle.read(), re.MULTILINE)
+    assert sirlink.__version__ == version
 
 
 def test_readme_library_use_runs(capsys):
