@@ -17,6 +17,7 @@ Both types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,14 +107,31 @@ def interference_scale(scenario: Scenario) -> float:
             * (scenario.s / scenario.t) ** scenario.n * scenario.rho)
 
 
+def _log_beta(scenario: Scenario) -> float:
+    """log beta as one sum of logs, which no factor's range limits."""
+    return (math.log(scenario.m) - math.log(scenario.sigma) + math.log(scenario.rho)
+            + (scenario.p2_dbm - scenario.p1_dbm) * math.log(10.0) / 10.0
+            + scenario.n * (math.log(scenario.s) - math.log(scenario.t)))
+
+
 def sir_distribution(scenario: Scenario) -> SirDistribution:
-    """Reduce a scenario to the (shape, beta) parameters of its SIR law."""
+    """Reduce a scenario to the (shape, beta) parameters of its SIR law.
+
+    beta = m/sigma * interference_scale.  Where that product is not a normal
+    double, a factor may have overflowed or underflowed although beta does
+    not, so beta is the exp of log beta's sum instead: inf past the double
+    range and 0 below it.
+    """
     try:
-        scale = interference_scale(scenario)
+        beta = scenario.m / scenario.sigma * interference_scale(scenario)
     except OverflowError:  # float ** raises past the double range, where * gives inf
-        scale = math.inf
-    return SirDistribution(shape=scenario.M * scenario.m,
-                           beta=scenario.m / scenario.sigma * scale)
+        beta = math.inf
+    if not sys.float_info.min <= beta <= sys.float_info.max:
+        try:
+            beta = math.exp(_log_beta(scenario))
+        except OverflowError:  # so does math.exp
+            beta = math.inf
+    return SirDistribution(shape=scenario.M * scenario.m, beta=beta)
 
 
 def sir_pdf(dist: SirDistribution, y):

@@ -67,7 +67,14 @@ def _interferer_power(rng: np.random.Generator, rho: float, size: int):
         out[zero] = rng.exponential(rho, size=int(zero.sum()))
 
 
-def sample_sir(rng: np.random.Generator, scenario: Scenario, size: int):
+def _check_out(out, size: int) -> None:
+    """Refuse an out that is not a writable 1-D float64 array of size entries."""
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == (size,) and out.flags.writeable):
+        raise ValueError(f"out must be a writable float64 array of {size} entries")
+
+
+def sample_sir(rng: np.random.Generator, scenario: Scenario, size: int, out=None):
     """Draw size combined SIRs from the physical model.
 
     The combined signal power is the sum of M independent Gamma(m, sigma/m)
@@ -75,7 +82,11 @@ def sample_sir(rng: np.random.Generator, scenario: Scenario, size: int):
     the geometric link factor times an exponential of mean rho.  Branch
     powers add left to right, as numpy's row sum does for M <= 7 (for M >= 8
     it sums pairwise, so rng.gamma(...).sum(-1) differs in the last bits).
+    When out, a writable 1-D float64 array of size entries, is given, the
+    SIRs are written into it and it is returned; besides out the call holds
+    one interferer array of size entries and the gamma chunk.
     """
+    _check_out(out, size)
     m, sigma = scenario.m, scenario.sigma
     c_geom = 10.0 ** ((scenario.p2_dbm - scenario.p1_dbm) / 10.0) \
         * (scenario.s / scenario.t) ** scenario.n
@@ -83,7 +94,7 @@ def sample_sir(rng: np.random.Generator, scenario: Scenario, size: int):
     # numpy draws gammas one after another in C order, so row chunks of one
     # reused buffer use the stream as one (size, M) draw would, and
     # standard_gamma times sigma/m is rng.gamma(m, sigma/m) bit for bit.
-    signal = np.empty(size)
+    signal = np.empty(size) if out is None else out
     rows = min(size, _GAMMA_ROWS)
     try:
         gammas = np.empty((rows, scenario.M))
@@ -118,15 +129,14 @@ def _block_partial(scenario: Scenario, seed: int, out, block) -> tuple:
     """(count, mean, sum_sq_dev) of conditional BER over one block of SIRs.
 
     Block (index, start, stop) is drawn on SeedSequence(seed, spawn_key=(index,));
-    when out is an array, the draws are also stored in out[start:stop].
+    when out is an array, the block is drawn straight into out[start:stop].
+    The conditional BER and its squared deviations take one block-sized array,
+    allocated once the draw has freed its interferer array.
     """
     index, start, stop = block
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    p = sample_sir(rng, scenario, size=stop - start)
-    if out is not None:
-        out[start:stop] = p
-    # conditional BER, then its squared deviations, in the draws' own array
-    np.sqrt(p, out=p)
+    draws = sample_sir(rng, scenario, stop - start, None if out is None else out[start:stop])
+    p = np.sqrt(draws)
     _erfc_vec(p, out=p)
     p *= 0.5
     mean = float(p.mean())
@@ -161,16 +171,15 @@ def estimate_ber(scenario: Scenario, samples: int, seed: int, out=None) -> McEst
     Unbiased for the analytical BER integral.  Identical (seed, samples)
     reproduce the mean bit-for-bit.  Workers keep only their current block,
     so memory stays O(WORKERS * block) at any sample count.  When out, a
-    writable float64 array of samples entries, is given, the SIRs averaged
-    are also stored there in draw order.
+    writable 1-D float64 array of samples entries, is given, each block
+    draws its SIRs straight into it, in draw order, and a worker holds one
+    block and one gamma chunk besides.
     """
     seed = int(seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be an unsigned 64-bit value, got {seed}")
     blocks = _blocks(samples)
-    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
-                                and out.shape == (samples,) and out.flags.writeable):
-        raise ValueError(f"out must be a writable float64 array of {samples} entries")
+    _check_out(out, samples)
     with ThreadPoolExecutor(WORKERS) as pool:
         return _fold(pool.map(partial(_block_partial, scenario, seed, out), blocks))
 

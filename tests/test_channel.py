@@ -154,6 +154,16 @@ class TestSirDistribution:
         dist = sir_distribution(scen(m=4, M=3, p1=15, p2=6, s=100, t=80, n=2.9))
         assert dist.shape == 12.0
 
+    @pytest.mark.parametrize("fields", [
+        dict(p2_dbm=4000.0, s=1e-20, n=20.0),
+        dict(p2_dbm=-4000.0, s=1e20, n=20.0),
+        dict(p2_dbm=0.0, sigma=1e-320, rho=1e-320),
+    ], ids=["power-ratio-overflows", "distance-factor-overflows", "m-over-sigma-overflows"])
+    def test_beta_finite_though_a_factor_is_not(self, fields):
+        # m = 2 times factors whose product is 1, one of them past the double range
+        dist = sir_distribution(scenario_with(m=2.0, p1_dbm=0.0, **fields))
+        assert dist.beta == pytest.approx(2.0, rel=1e-12)
+
 
 class TestSirPdf:
     def test_unit_values(self):

@@ -88,6 +88,18 @@ class TestSampleSir:
         left_to_right = signal / (c_geom * rng.exponential(2.0, size=size))
         assert np.array_equal(sample_sir(default_rng(29), scenario, size), left_to_right)
 
+    @pytest.mark.parametrize("branches", [1, 9])
+    def test_out_keeps_allocating_bits(self, branches):
+        # drawn into a strided column of a wider buffer, the SIRs are the
+        # allocating call's bit for bit, and nothing else in the buffer moves
+        scenario = scen(m=1.5, M=branches, p1=17, p2=10, s=100, t=80, n=3.5, sigma=1.5, rho=2.0)
+        size = 2 * montecarlo._GAMMA_ROWS + 5
+        buffer = np.full((size, 2), -1.0)
+        drawn = sample_sir(default_rng(30), scenario, size, out=buffer[:, 0])
+        assert np.shares_memory(drawn, buffer) and drawn.shape == (size,)
+        assert np.array_equal(buffer[:, 0], sample_sir(default_rng(30), scenario, size))
+        assert np.all(buffer[:, 1] == -1.0)
+
 
 class TestEstimateBer:
     def test_interference_dominated_limit(self):
@@ -187,6 +199,12 @@ class TestEstimateBer:
                                      np.broadcast_to(0.0, (BLOCK_SIZE,))],
                              ids=["short", "long", "float32", "2d", "list", "read-only"])
     def test_out_rejected_before_drawing(self, monkeypatch, out):
+        # sample_sir leaves its generator where it was; estimate_ber calls no sampler
+        rng = default_rng(20)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="out must be"):
+            sample_sir(rng, FIG2, BLOCK_SIZE, out=out)
+        assert rng.bit_generator.state == state
         drawn = []
         monkeypatch.setattr(montecarlo, "sample_sir", lambda *args, **kw: drawn.append(kw))
         with pytest.raises(ValueError, match="out must be"):
