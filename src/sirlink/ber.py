@@ -72,13 +72,7 @@ _PASS_LAWS = 32
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to converge. Carries the best available estimate."""
-
-    def __init__(self, message: str, best_estimate: float = math.nan,
-                 error_estimate: float = math.inf):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_estimate = error_estimate
+    """Quadrature failed to converge; the message names the route and the law."""
 
 
 class CrossCheckError(RuntimeError):
@@ -321,10 +315,7 @@ def _route(dist: SirDistribution) -> str:
 
 
 def _direct_result(dist: SirDistribution, log_ber: float, bound: float) -> tuple:
-    """One law's row of _direct as (BER, absolute error bound); a NaN or a loose bound raises.
-
-    A law whose rule was not found (bound inf) raises without an estimate.
-    """
+    """One law's row of _direct as (BER, absolute error bound); a NaN or a loose bound raises."""
     value, bound = math.exp(log_ber), float(bound)
     if math.isnan(value):
         raise QuadratureError(f"{_route(dist)}: integrand produced NaN")
@@ -333,8 +324,7 @@ def _direct_result(dist: SirDistribution, log_ber: float, bound: float) -> tuple
     if not (bound <= DEFAULT_REL_TOL or (value == 0.0 and log_ber + bound < _LOG_UNDERFLOW)):
         raise QuadratureError(
             f"{_route(dist)}: quadrature did not converge: relative error bound {bound:.1e} "
-            f"exceeds the tolerance {DEFAULT_REL_TOL:.0e}",
-            *((value, bound * value) if bound < math.inf else ()))
+            f"exceeds the tolerance {DEFAULT_REL_TOL:.0e}")
     return value, bound * value
 
 

@@ -12,8 +12,10 @@ Output is plot-ready CSV: M and pass print as integers, and every other
 column, as every column of `dist`, prints with %.12g (12 significant
 digits), so identical inputs produce byte-identical files.
 
-Exit codes: 0 success, 1 usage or config error, 2 numerical failure
-(cross-check, quadrature or overflow), 3 Monte Carlo validation failure.
+Exit codes: 0 success, 1 usage error or ConfigError, 2 SweepPointError,
+3 Monte Carlo validation failure.  Input refused where it is found (a flag,
+the config, a grid point's own parameters) raises ConfigError, and a failure
+to evaluate a valid grid point raises SweepPointError naming the point.
 """
 
 from __future__ import annotations
@@ -59,12 +61,11 @@ class ConfigError(ValueError):
 
 
 class SweepPointError(RuntimeError):
-    """Evaluation failed at one grid point; carries the point and the cause."""
+    """Evaluation failed at one grid point; carries the point and names it and the reason."""
 
-    def __init__(self, point: dict, cause: Exception):
-        super().__init__(f"evaluation failed at grid point {point}: {cause}")
+    def __init__(self, point: dict, reason):
+        super().__init__(f"evaluation failed at grid point {point}: {reason}")
         self.point = point
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -232,13 +233,17 @@ def _grid_points(spec: SweepSpec):
 
 def _law(point: dict, corrupt_beta: float = 1.0) -> tuple:
     """The grid point's checked Scenario and its SIR law, the law's beta scaled by
-    corrupt_beta; or the point's SweepPointError."""
+    corrupt_beta.  Parameters Scenario refuses raise a ConfigError naming the
+    point, and a law that cannot be built the point's SweepPointError."""
     try:
         scenario = _build_scenario(point)
+    except ConfigError as exc:
+        raise ConfigError(f"grid point {point}: {exc}") from exc
+    try:
         law = sir_distribution(scenario)
         return scenario, (law if corrupt_beta == 1.0
                           else dataclasses.replace(law, beta=law.beta * corrupt_beta))
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         raise SweepPointError(point, exc) from exc
 
 
@@ -247,14 +252,14 @@ def _analytic_rows(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
 
     Every law is built first and all are evaluated in one ber_batch call;
     building stops at the first point whose law cannot be built.  The first
-    failing point in grid order raises its SweepPointError.  Each law's beta
-    is scaled by corrupt_beta.
+    failing point in grid order raises its ConfigError or SweepPointError.
+    Each law's beta is scaled by corrupt_beta.
     """
     built, failure = [], None
     for point in _grid_points(spec):
         try:
             built.append(_law(point, corrupt_beta))
-        except SweepPointError as exc:
+        except (ConfigError, SweepPointError) as exc:
             failure = exc
             break
     rows = []
@@ -313,7 +318,7 @@ def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     value != 1 must make points fail.
     """
     if spec.samples < 10 ** 4:
-        raise ValueError(f"validation needs at least 1e4 samples, got {spec.samples}")
+        raise ConfigError(f"validation needs at least 1e4 samples, got {spec.samples}")
     threshold = ks_threshold(spec.samples)
     return [_with_mc_columns(row, spec.samples, derived_seed(spec.seed, index, 0), threshold)
             for index, row in enumerate(_analytic_rows(spec, corrupt_beta))]
@@ -325,14 +330,16 @@ def rows_to_csv(rows: list) -> str:
     return "".join([header] + [line % fields(row) for row in rows])
 
 
-def _law_on_grid(dist: SirDistribution, grid) -> tuple:
-    """The law's pdf and cdf on the grid; a non-finite value names the law."""
+def _law_on_grid(point: dict, grid) -> tuple:
+    """The point's SIR law's pdf and cdf on the grid; a non-finite value raises
+    the point's SweepPointError, naming the law."""
+    dist = _law(point)[1]
     with np.errstate(over="ignore", invalid="ignore"):
         pdf, cdf = sir_pdf(dist, grid), sir_cdf(dist, grid)
     bad = ~(np.isfinite(pdf) & np.isfinite(cdf))
     if bad.any():
-        raise ArithmeticError(f"SIR law at shape={dist.shape!r}, beta={dist.beta!r}: "
-                              f"non-finite pdf or cdf at y={grid[bad][0]:.12g}")
+        raise SweepPointError(point, f"SIR law at shape={dist.shape!r}, beta={dist.beta!r}: "
+                                     f"non-finite pdf or cdf at y={grid[bad][0]:.12g}")
     return pdf, cdf
 
 
@@ -432,7 +439,7 @@ def main(argv=None) -> int:
             except (MemoryError, ValueError):  # numpy refuses a size it cannot allocate or index
                 raise ConfigError(f"dist: {args.points} points need {8 * args.points} bytes "
                                   "for their grid, more than this process can allocate") from None
-            pdf, cdf = _law_on_grid(_law(dataclasses.asdict(spec.base))[1], grid)
+            pdf, cdf = _law_on_grid(dataclasses.asdict(spec.base), grid)
             columns = zip(grid.tolist(), pdf.tolist(), cdf.tolist())
             text = "".join(["y,pdf,cdf\n"] + ["%.12g,%.12g,%.12g\n" % row for row in columns])
         _write_output(text, args.out)
@@ -442,14 +449,4 @@ def main(argv=None) -> int:
         return 1
     except SweepPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc.cause, ConfigError) else 2
-    except ArithmeticError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

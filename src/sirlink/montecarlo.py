@@ -60,11 +60,12 @@ class McEstimate:
 def _interferer_power(rng: np.random.Generator, rho: float, size: int):
     """Squared Rayleigh interferer amplitude: exponential with mean rho, never 0."""
     out = rng.exponential(rho, size=size)
-    while True:
-        zero = out == 0.0  # float underflow; probability ~2**-53 per draw
-        if not zero.any():
-            return out
+    # float underflow, probability ~2**-53 per draw at rho 1; all() reduces
+    # through numpy's small buffer, so no block-sized mask is built for it
+    while not out.all():
+        zero = out == 0.0
         out[zero] = rng.exponential(rho, size=int(zero.sum()))
+    return out
 
 
 def _check_out(out, size: int) -> None:

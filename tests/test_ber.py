@@ -114,8 +114,8 @@ class TestBerDirect:
 
     # Shape 1e16 at tiny beta: log g* is ~-6.5e18, whose rounding (ulp 1024)
     # makes exp(log g - log g*) overflow off the peak, so the rule's sum is
-    # not finite.  Such a law is not found, and carries no estimate, where
-    # the clipped sum would read 1/2 and the true BER is 0.0.
+    # not finite.  Such a law is not found, where the clipped sum would read
+    # 1/2 and the true BER is 0.0.
     @pytest.mark.parametrize("beta", [1e-300, 1e-260, 1e-230])
     def test_quadrature_failure_names_route(self, beta):
         with pytest.raises(QuadratureError) as info:
@@ -123,8 +123,6 @@ class TestBerDirect:
         assert str(info.value) == (f"direct route at shape=1e+16, beta={beta!r}: quadrature "
                                    "did not converge: relative error bound inf exceeds the "
                                    "tolerance 1e-10")
-        assert math.isnan(info.value.best_estimate)
-        assert info.value.error_estimate == math.inf
 
     # Shape 1e25 at beta 1e-20, and 1e17 and 1e18 at beta ~1e-300: _slope's
     # curvature has lost its digits there, so the rule would need ~1e12 nodes

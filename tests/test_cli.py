@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import io
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -386,11 +387,11 @@ class TestRunSweep:
         assert key == sorted(key)
 
     def test_point_error_tagged(self):
-        bad = MINIMAL + "\n[sweep]\naxis = m\nvalues = 0.3, 2\n"
-        with pytest.raises(SweepPointError) as info:
-            run_sweep(parse_config(bad))
-        assert info.value.point["m"] == 0.3
-        assert isinstance(info.value.cause, ConfigError)
+        spec = parse_config(MINIMAL + "\n[sweep]\naxis = m\nvalues = 0.3, 2\n")
+        with pytest.raises(ConfigError) as info:
+            run_sweep(spec)
+        assert str(info.value).startswith(f"grid point {next(_grid_points(spec))}: "
+                                          "invalid scenario: Nakagami parameter m must be")
 
     def test_first_failing_point_wins(self, capsys):
         # s = 1 fails the cross-check and s = inf cannot be built; every law
@@ -462,16 +463,17 @@ class TestValidate:
             validate(dataclasses.replace(parse_config(MINIMAL.replace("m = 2", "m = 0.5")),
                                          samples=10 ** 4, seed=0))
         assert info.value.point["m"] == 0.5
-        assert isinstance(info.value.cause, CrossCheckError)
+        assert isinstance(info.value.__cause__, CrossCheckError)
 
-    @pytest.mark.parametrize("config", [
-        MINIMAL + "\n[sweep]\naxis = s\nvalues = 90, inf\n",
-        MINIMAL.replace("m = 2", "m = 4").replace("M = 1", "M = 25")
-        + "\n[sweep]\naxis = p2_dbm\nvalues = 6, 39\n",
+    @pytest.mark.parametrize("config, error", [
+        (MINIMAL + "\n[sweep]\naxis = s\nvalues = 90, inf\n", ConfigError),
+        (MINIMAL.replace("m = 2", "m = 4").replace("M = 1", "M = 25")
+         + "\n[sweep]\naxis = p2_dbm\nvalues = 6, 39\n", SweepPointError),
     ], ids=["unbuildable", "cross-check"])
-    def test_analytic_failure_before_any_draw(self, monkeypatch, config):
+    def test_analytic_failure_before_any_draw(self, monkeypatch, config, error):
         # the whole grid is evaluated before the first point draws, so the
-        # second point's failure comes with no Monte Carlo work done
+        # second point's failure comes with no Monte Carlo work done; s = inf
+        # is refused by Scenario, a config error that names the point
         calls = []
         draw = montecarlo.sample_sir
 
@@ -481,9 +483,11 @@ class TestValidate:
 
         monkeypatch.setattr(montecarlo, "sample_sir", counting)
         spec = dataclasses.replace(parse_config(config), samples=10 ** 4, seed=0)
-        with pytest.raises(SweepPointError) as info:
+        with pytest.raises(error) as info:
             validate(spec)
-        assert info.value.point == list(_grid_points(spec))[1]
+        point = list(_grid_points(spec))[1]
+        assert str(info.value).startswith(f"grid point {point}: " if error is ConfigError
+                                          else f"evaluation failed at grid point {point}: ")
         assert calls == []
 
     def test_corrupted_beta_fails(self):
@@ -502,7 +506,7 @@ class TestValidate:
         assert all(row.passed for row in rows)
 
     def test_sample_floor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^validation needs at least 1e4 samples"):
             validate(dataclasses.replace(parse_config(MINIMAL), samples=5000, seed=0))
 
     def test_one_draw_feeds_mean_and_ks(self):
@@ -547,8 +551,8 @@ class TestValidate:
         with pytest.raises(SweepPointError) as info:
             validate(spec)
         assert info.value.point["M"] == 2
-        assert isinstance(info.value.cause, ArithmeticError)
-        assert str(info.value.cause) == "overflow in block 1"
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        assert str(info.value.__cause__) == "overflow in block 1"
         assert threading.active_count() == threads
         cfg = tmp_path / "fig2.ini"
         cfg.write_text(FIG2_POINT)
@@ -560,15 +564,15 @@ class TestValidate:
     def test_memory_is_draws_plus_few_blocks(self, monkeypatch):
         # each block is drawn straight into the row's draws, which are sorted
         # in place, so a worker holds one block (the interferer's, then the
-        # conditional BER's) and one gamma chunk; the slack is each worker's
-        # zero mask over its interferer (an eighth of a block) and a quarter
-        # block for the KS statistic's index arrays and Python's own objects.
-        # A block copied into the draws, or a sorted copy, breaks the bound.
+        # conditional BER's) and one gamma chunk; the slack is a quarter block
+        # for the KS statistic's index arrays and Python's own objects.  A
+        # block copied into the draws, a sorted copy, or a block-sized mask
+        # per worker breaks the bound.
         workers = 2
         monkeypatch.setattr(montecarlo, "WORKERS", workers)
         block_bytes = montecarlo.BLOCK_SIZE * 8
         gamma_bytes = montecarlo._GAMMA_ROWS * 2 * 8  # FIG2_POINT's M = 2
-        slack = workers * block_bytes // 8 + block_bytes // 4
+        slack = block_bytes // 4
         spec = dataclasses.replace(parse_config(FIG2_POINT),
                                    samples=32 * montecarlo.BLOCK_SIZE, seed=26)
         tracemalloc.start()
@@ -747,10 +751,18 @@ class TestCliProcess:
         ("sweep", MINIMAL, "--values 1,2", "config error: [sweep] values given without axis\n"),
         ("sweep", MINIMAL, "--axis s --values 80 --second-values 1,2",
          "config error: [sweep] second_values given without second_axis\n"),
+        # a grid point whose own parameters Scenario refuses is named
+        ("sweep", MINIMAL, "--axis m --values 0.1,2",
+         "config error: grid point {'m': 0.1, 'M': 1, 'sigma': 1.0, 'rho': 1.0, "
+         "'p1_dbm': 15.0, 'p2_dbm': 6.0, 's': 90.0, 't': 90.0, 'n': 3.0}: invalid scenario: "
+         "Nakagami parameter m must be >= 0.5, got 0.1\n"),
+        ("validate", MINIMAL, "--samples 5000",
+         "config error: validation needs at least 1e4 samples, got 5000\n"),
     ], ids=["m-0.1", "m-inf", "sigma-inf", "n-inf", "seed-negative", "dist-ymax-inf",
             "corrupt-beta-0", "corrupt-beta-nan", "M-0", "unknown-axis",
             "second-axis-alone", "same-axis-twice", "second-axis-without-values",
-            "values-without-axis", "second-values-without-second-axis"])
+            "values-without-axis", "second-values-without-second-axis", "grid-point-m-0.1",
+            "samples-5000"])
     def test_parse_error_exit_code(self, tmp_path, command, config, flags, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(config)
@@ -789,9 +801,16 @@ class TestCliProcess:
         # a law that cannot be built: point and dist print the same line
         *[(command, flags, f"error: evaluation failed at grid point {point}: {cause}\n")
           for _, flags, point, cause in UNBUILDABLE for command in ("point", "dist")],
+        # shape 1e17 at beta 1.8e20: the law's pdf is not finite on dist's grid
+        ("dist", "--m 1e17 --M 1 --p1_dbm 15 --p2_dbm 6 --s 90 --t 3.7 --n 3 --points 5",
+         "error: evaluation failed at grid point {'m': 1e+17, 'M': 1, 'sigma': 1.0, "
+         "'rho': 1.0, 'p1_dbm': 15.0, 'p2_dbm': 6.0, 's': 90.0, 't': 3.7, 'n': 3.0}: SIR law "
+         "at shape=1e+17, beta=1.811850483086782e+20: non-finite pdf or cdf at "
+         "y=2.99069756244\n"),
     ], ids=["shape-0.5", "shape-320", "shape-100", "shape-1e8", "nodes-1e25", "nodes-1e17",
             "nodes-1e18",
-            *[f"{command}-{name}" for name, *_ in UNBUILDABLE for command in ("point", "dist")]])
+            *[f"{command}-{name}" for name, *_ in UNBUILDABLE for command in ("point", "dist")],
+            "dist-non-finite"])
     def test_numerical_failure_exit_code(self, command, flags, message):
         proc = run_cli(command, *flags.split())
         assert proc.returncode == 2
@@ -891,3 +910,43 @@ class TestCliProcess:
         assert len(lines) == 6
         cdfs = [float(line.split(",")[2]) for line in lines[1:]]
         assert cdfs == sorted(cdfs)
+
+
+# Flag values at and past the edges of the parameters' ranges.
+EXTREMES = ("0", "-1", "1e-320", "5e-324", "1e-300", "0.5", "1", "2.5", "1e17", "1e300",
+            "inf", "-inf", "nan")
+MINIMAL_FLAGS = dict(m="2", M="1", sigma="1", rho="1", p1_dbm="15", p2_dbm="6",
+                     s="90", t="90", n="3")
+
+
+def extreme_argvs(count, seed):
+    """Seeded command lines: MINIMAL's scenario with about a quarter of its
+    values swapped for EXTREMES, through point, sweep and dist, and every
+    50th through validate at 1e4 samples; sweeps take two extreme values."""
+    rng = random.Random(seed)
+    for index in range(count):
+        command = ("point", "sweep", "dist")[index % 3] if index % 50 else "validate"
+        argv = [command] + [f"--{key}=" + (rng.choice(EXTREMES) if rng.random() < 0.25 else raw)
+                            for key, raw in MINIMAL_FLAGS.items()]
+        if command in ("sweep", "validate"):
+            argv += ["--axis", rng.choice(SCENARIO_KEYS),
+                     "--values=" + ",".join(rng.choices(EXTREMES + ("3", "90"), k=2))]
+        yield argv + {"validate": ["--samples", "1e4"], "dist": ["--points", "5"]}.get(command, [])
+
+
+class TestExitContract:
+    def test_exit_code_is_the_error_type(self, capsys):
+        # exit 1 is a usage or config error and exit 2 an evaluation failure
+        # at a named grid point; a failure prints one line and raises nothing
+        misses, codes = [], set()
+        for argv in extreme_argvs(300, seed=1):
+            code = main(argv)
+            err = capsys.readouterr().err
+            codes.add(code)
+            if not (code in (0, 1, 2, 3)
+                    and (err == "" if code == 0 else err.count("\n") == 1 and err.endswith("\n"))
+                    and (code == 1) == err.startswith(("usage error:", "config error:"))
+                    and (code == 2) == err.startswith("error: evaluation failed at grid point")):
+                misses.append((argv, code, err))
+        assert misses == []
+        assert codes >= {0, 1, 2}

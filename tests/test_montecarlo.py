@@ -101,6 +101,23 @@ class TestSampleSir:
         assert np.all(buffer[:, 1] == -1.0)
 
 
+class TestInterfererPower:
+    def test_underflowed_draws_are_drawn_again(self):
+        # at rho 5e-324 about 39% of first draws round to 0.0
+        out = montecarlo._interferer_power(default_rng(31), 5e-324, BLOCK_SIZE)
+        assert out.shape == (BLOCK_SIZE,) and np.all(out > 0.0)
+
+    def test_block_holds_little_but_its_output(self):
+        # a bool mask over the block, built to look for zeros, is 1/8 block
+        tracemalloc.start()
+        try:
+            out = montecarlo._interferer_power(default_rng(32), 1.0, BLOCK_SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + out.nbytes // 32
+
+
 class TestEstimateBer:
     def test_interference_dominated_limit(self):
         # 90 dB power disadvantage: conditional BER pins at ~1/2
