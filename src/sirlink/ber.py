@@ -221,26 +221,24 @@ def _peak(shape, beta, log_beta):
 def _edges(peak, log_g_peak, width, shape, log_beta, log_k):
     """Window edges where log g lies at least _FALL below its peak, and the tails.
 
-    Returns (left, right, tail): tail bounds the integral of g beyond both
-    edges, relative to g at the peak, NaN where the slope has the wrong sign.
-    Each edge starts at the Gaussian guess peak -+ sqrt(2*_FALL)*width.  If
-    log g there is still above the level peak - _FALL, one Newton step takes
-    the edge to where the tangent meets the level.  log g is concave, so it
-    lies below that tangent: the step never stops short of the level, and
-    beyond the edge g is at most exp(level + slope*distance).
+    Returns (edges, tail): the (2, n) edges, left in row 0 and right in row 1,
+    and tail, which bounds the integral of g beyond both, relative to g at the
+    peak, NaN where a slope has the wrong sign.  Both rows start at the
+    Gaussian guesses peak -+ sqrt(2*_FALL)*width.  Where log g there is still
+    above peak - _FALL, one Newton step takes the edge to where the tangent
+    meets that level.  log g is concave, so it lies below the tangent: the step
+    never stops short of the level, and beyond the edge g is at most
+    exp(level + slope*distance).
     """
-    n = peak.size
-    shape, log_beta, log_k, peak, log_g_peak = (np.concatenate([a, a]) for a in
-                                                (shape, log_beta, log_k, peak, log_g_peak))
-    side = np.repeat([-1.0, 1.0], n)
-    guess = peak + side * math.sqrt(2.0 * _FALL) * np.concatenate([width, width])
+    side = np.array([[-1.0], [1.0]])
+    guess = peak + side * math.sqrt(2.0 * _FALL) * width
     log_g = _log_g(guess, shape, log_beta, log_k)
     slope = _slope(guess, shape, log_beta)[0]
     level = log_g_peak - _FALL
-    edge = np.where(log_g > level, guess + (level - log_g) / slope, guess)
+    edges = np.where(log_g > level, guess + (level - log_g) / slope, guess)
     tail = _exp(np.minimum(log_g, level) - log_g_peak) / (-side * slope)
     tail = np.where(side * slope < 0.0, tail, np.nan)
-    return edge[:n], edge[n:], tail[:n] + tail[n:]
+    return edges, tail[0] + tail[1]
 
 
 def _ragged(counts):
@@ -279,13 +277,11 @@ def _direct(shape, beta):
     peak, curvature = _peak(shape, beta, log_beta)
     width = 1.0 / np.sqrt(-curvature)
     log_g_peak = _log_g(peak, shape, log_beta, log_k)
-    left, right, tail = _edges(peak, log_g_peak, width, shape, log_beta, log_k)
+    edges, tail = _edges(peak, log_g_peak, width, shape, log_beta, log_k)
     step = np.minimum(_MAX_STEP, 0.5 * width)
-    below = np.maximum(np.ceil((peak - left) / step), 1.0)
-    above = np.maximum(np.ceil((right - peak) / step), 1.0)
-    found = np.isfinite(tail) & (2.0 * (below + above) + 1.0 <= _MAX_NODES)
-    below = np.where(found, below, 1.0).astype(np.intp)
-    above = np.where(found, above, 1.0).astype(np.intp)
+    steps = np.maximum(np.ceil(np.abs(edges - peak) / step), 1.0)  # below, above the peak
+    found = np.isfinite(tail) & (2.0 * (steps[0] + steps[1]) + 1.0 <= _MAX_NODES)
+    below, above = np.where(found, steps, 1.0).astype(np.intp)
 
     # coarse nodes peak + j*step for j in [-below, above], then the midpoints
     coarse, coarse_j, coarse_start = _ragged(below + above + 1)
@@ -315,8 +311,9 @@ def _route(dist: SirDistribution) -> str:
 
 
 def _direct_result(dist: SirDistribution, log_ber: float, bound: float) -> tuple:
-    """One law's row of _direct as (BER, absolute error bound); a NaN or a loose bound raises."""
-    value, bound = math.exp(log_ber), float(bound)
+    """One law's row of _direct, in Python floats (which round as numpy's scalars do
+    but never warn), as (BER, absolute error bound); a NaN or a loose bound raises."""
+    value = math.exp(log_ber)
     if math.isnan(value):
         raise QuadratureError(f"{_route(dist)}: integrand produced NaN")
     # A BER that underflows to 0.0 is exact, however loose its relative bound,
@@ -336,7 +333,7 @@ def ber_direct(dist: SirDistribution) -> QuadratureResult:
     naming this route and the law's shape and beta.
     """
     log_ber, bound, nodes = _direct(np.array([dist.shape]), np.array([dist.beta]))
-    value, error = _direct_result(dist, log_ber[0], bound[0])
+    value, error = _direct_result(dist, float(log_ber[0]), float(bound[0]))
     return QuadratureResult(value=value, abs_error_estimate=error, evaluations=int(nodes[0]))
 
 
@@ -349,11 +346,12 @@ def _gl(shape, beta):
     y^(-1/2)e^(-y) rule of gauss_laguerre_half.  One sir_cdf call takes the
     laws as columns against the row of nodes, and each law's row is summed
     on its own (a reduction, not a BLAS product), so no law's bits depend on
-    the others in the batch.
+    the others in the batch.  The sum is clipped at 1/2, which it passes where
+    the cdf is 1 at every node; clipping there only moves a value towards it.
     """
     nodes, weights = gauss_laguerre_half(DEFAULT_GL_ORDER)
     cdf = sir_cdf(SimpleNamespace(shape=shape[:, None], beta=beta[:, None]), nodes)
-    return np.add.reduce(weights * cdf, axis=1) / (2.0 * SQRT_PI)
+    return np.minimum(np.add.reduce(weights * cdf, axis=1) / (2.0 * SQRT_PI), 0.5)
 
 
 def ber_gl(dist: SirDistribution) -> float:
@@ -374,7 +372,8 @@ def ber_batch(dists) -> list:
         part = dists[start:start + _PASS_LAWS]
         shape, beta = np.array([d.shape for d in part]), np.array([d.beta for d in part])
         log_bers, bounds, _ = _direct(shape, beta)
-        for dist, log_ber, bound, alt in zip(part, log_bers, bounds, _gl(shape, beta).tolist()):
+        for dist, log_ber, bound, alt in zip(part, log_bers.tolist(), bounds.tolist(),
+                                             _gl(shape, beta).tolist()):
             try:
                 value, error = _direct_result(dist, log_ber, bound)
                 gap = abs(value - alt)

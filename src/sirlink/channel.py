@@ -153,13 +153,14 @@ def sir_cdf(dist: SirDistribution, y):
     dist.shape and dist.beta broadcast against y, so a dist whose shape and
     beta are columns of many laws evaluates them all against a row of y.
     The result is computed in the array of beta*y, so besides y the call
-    holds at most that array and 1 + t.
+    holds at most that array and 1 + t.  A beta*y past the double range is
+    clamped to the largest double, silently, and gives a cdf of 1.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise ValueError("SIR must be >= 0")
-    out = np.asarray(np.multiply(dist.beta, y))
-    # clamped so that t/(1+t) is 1, not inf/inf, once beta*y overflows
+    with np.errstate(over="ignore"):  # clamped next, so that t/(1+t) is 1, not inf/inf
+        out = np.asarray(np.multiply(dist.beta, y))
     np.minimum(out, np.finfo(float).max, out=out)
     np.divide(out, 1.0 + out, out=out)
     np.power(out, dist.shape, out=out)

@@ -145,13 +145,8 @@ def _parse_values(axis: str, key: str, raw: str) -> tuple:
     items = [part for chunk in raw.split(",") for part in chunk.split()]
     if not items:
         raise ConfigError(f"[sweep] values for axis {axis!r} must be non-empty")
-    count = axis in COUNT_KEYS
-    out = []
-    for item in items:
-        out.append((_parse_count if count else _parse_float)("sweep", key, item))
-        if count and out[-1] < 1:  # a count axis is refused whole, before any grid point is built
-            raise ConfigError(f"[sweep] {axis} values must be integers >= 1, got {item}")
-    return tuple(sorted(out))
+    parse = _parse_count if axis in COUNT_KEYS else _parse_float
+    return tuple(sorted(parse("sweep", key, item) for item in items))
 
 
 def _read_sections(text: str) -> dict:

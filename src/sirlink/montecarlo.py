@@ -83,6 +83,8 @@ def sample_sir(rng: np.random.Generator, scenario: Scenario, size: int, out=None
     the geometric link factor times an exponential of mean rho.  Branch
     powers add left to right, as numpy's row sum does for M <= 7 (for M >= 8
     it sums pairwise, so rng.gamma(...).sum(-1) differs in the last bits).
+    An interference power below the double range gives an infinite SIR,
+    silently; erfc and sir_cdf take it as 0 and 1.
     When out, a writable 1-D float64 array of size entries, is given, the
     SIRs are written into it and it is returned; besides out the call holds
     one interferer array of size entries and the gamma chunk.
@@ -114,7 +116,8 @@ def sample_sir(rng: np.random.Generator, scenario: Scenario, size: int, out=None
             total += column
     interference = _interferer_power(rng, scenario.rho, size)
     interference *= c_geom
-    signal /= interference
+    with np.errstate(divide="ignore", over="ignore"):
+        signal /= interference
     return signal
 
 

@@ -249,9 +249,11 @@ class TestBerBatch:
 
 class TestBerGl:
     def test_saturated_cdf_gives_half(self):
-        # F ~ 1 at every node, so the sum reduces to the zeroth moment
-        assert ber_gl(SirDistribution(shape=3.0, beta=1e15)) == \
-            pytest.approx(0.5, abs=1e-9)
+        # F ~ 1 at every node, so the sum reduces to the zeroth moment; at the
+        # last three laws its rounded sum passes 1/2, and the BER is clipped
+        for shape, beta in [(3.0, 1e15), (1.0, 1e300), (0.5, 1e300), (1e300, 1e300)]:
+            value = ber_gl(SirDistribution(shape=shape, beta=beta))
+            assert value == pytest.approx(0.5, abs=1e-9) and value <= 0.5, (shape, beta)
 
     def test_array_sum_matches_term_loop(self):
         # reference: exactly rounded sum of the scalar terms; the array sum

@@ -622,6 +622,21 @@ class TestCliProcess:
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout.splitlines()[1].split(",")[-3:-1] == ["2", "0.0943204575812"]
 
+    @pytest.mark.parametrize("argv, code", [
+        # the direct route's bound is inf and log BER -inf: their sum is NaN
+        ("point --m=1e300 --M=1 --rho=5e-324 --p1_dbm=15 --p2_dbm=6 --s=90 --t=90 --n=3", 2),
+        # beta*y overflows in sir_cdf on the Gauss-Laguerre route, and is clamped
+        ("point --m=1e300 --M=1 --p1_dbm=15 --p2_dbm=90 --s=90 --t=90 --n=3", 2),
+        # the geometric factor times the interference power underflows to 0
+        ("validate --m=2 --M=1 --p1_dbm=15 --p2_dbm=6 --s=90 --t=90 --n=3 --axis rho "
+         "--values=1e17,1e-320 --samples 1e4", 3),
+    ], ids=["direct-bound-inf", "gl-cdf-overflow", "mc-interference-underflow"])
+    def test_extreme_law_prints_one_stderr_line(self, argv, code):
+        # numpy's floating-point warnings would print beside the command's own line
+        proc = run_cli(*argv.split())
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
     def test_point_stdout(self, tmp_path):
         cfg = tmp_path / "point.ini"
         cfg.write_text(MINIMAL)
@@ -756,13 +771,17 @@ class TestCliProcess:
          "config error: grid point {'m': 0.1, 'M': 1, 'sigma': 1.0, 'rho': 1.0, "
          "'p1_dbm': 15.0, 'p2_dbm': 6.0, 's': 90.0, 't': 90.0, 'n': 3.0}: invalid scenario: "
          "Nakagami parameter m must be >= 0.5, got 0.1\n"),
+        ("sweep", MINIMAL, "--axis M --values 0,2",
+         "config error: grid point {'m': 2.0, 'M': 0, 'sigma': 1.0, 'rho': 1.0, "
+         "'p1_dbm': 15.0, 'p2_dbm': 6.0, 's': 90.0, 't': 90.0, 'n': 3.0}: invalid scenario: "
+         "M must be an integer >= 1, got 0\n"),
         ("validate", MINIMAL, "--samples 5000",
          "config error: validation needs at least 1e4 samples, got 5000\n"),
     ], ids=["m-0.1", "m-inf", "sigma-inf", "n-inf", "seed-negative", "dist-ymax-inf",
             "corrupt-beta-0", "corrupt-beta-nan", "M-0", "unknown-axis",
             "second-axis-alone", "same-axis-twice", "second-axis-without-values",
             "values-without-axis", "second-values-without-second-axis", "grid-point-m-0.1",
-            "samples-5000"])
+            "grid-point-M-0", "samples-5000"])
     def test_parse_error_exit_code(self, tmp_path, command, config, flags, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(config)
