@@ -150,14 +150,14 @@ def _parse_values(axis: str, key: str, raw: str) -> tuple:
 
 
 def _read_sections(text: str) -> dict:
-    parser = configparser.ConfigParser(interpolation=None)
+    """{section: {key: raw text}}; any configparser failure is one `config parse error`."""
+    # No header can spell "\n", so [DEFAULT] is an ordinary, unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str  # keys are case-sensitive: m and M both exist
     try:
         parser.read_string(text)
-    except configparser.ParsingError as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"config error: {exc}") from exc
+        raise ConfigError(f"config parse error: {exc}") from exc
     sections = {}
     for name in parser.sections():
         if name not in SECTION_KEYS:
@@ -276,10 +276,13 @@ def ks_threshold(samples: int) -> float:
     return max(KS_BASE_THRESHOLD, 1.95 / math.sqrt(samples))
 
 
-def _with_mc_columns(row: SweepRow, samples: int, seed: int, threshold: float) -> SweepRow:
-    """The row plus its Monte Carlo columns, sampling its scenario and testing
-    its law; its draws are freed on return."""
+def _with_mc_columns(row: SweepRow, samples: int, seed: int) -> SweepRow:
+    """The row plus its Monte Carlo columns: its scenario sampled, its law (under
+    --corrupt-beta, the corrupted one) tested; its draws are freed on return."""
     point = dataclasses.asdict(row.scenario)
+    if math.isinf(1.0 / row.law.beta):
+        raise SweepPointError(point, f"SIR law at shape={row.law.shape!r}, beta={row.law.beta!r}: "
+                                     "1/beta is past the double range, so it cannot be sampled")
     try:
         draws = np.empty(samples)
     except (MemoryError, ValueError):  # numpy refuses a size it cannot allocate or index
@@ -293,7 +296,7 @@ def _with_mc_columns(row: SweepRow, samples: int, seed: int, threshold: float) -
         raise ConfigError(f"grid point {point}: {exc}") from None
     except (ValueError, ArithmeticError) as exc:
         raise SweepPointError(point, exc) from exc
-    ok = abs(row.ber - estimate.mean) <= 3.0 * estimate.std_error and ks < threshold
+    ok = abs(row.ber - estimate.mean) <= 3.0 * estimate.std_error and ks < ks_threshold(samples)
     return dataclasses.replace(row, mc_mean=estimate.mean, mc_std_error=estimate.std_error,
                                ks_stat=ks, passed=ok)
 
@@ -302,20 +305,19 @@ def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     """Cross-validate every grid point against the Monte Carlo oracle.
 
     The whole grid is evaluated analytically first, so a failing point raises
-    before any draws are made.  Each point then draws spec.samples SIRs once.
-    It passes when the analytic BER lies within 3 standard errors of their
-    Monte Carlo mean and their KS distance to the analytic distribution stays
-    below the sample-size-aware threshold.  One row's draws are held at a
-    time, 8 bytes per sample.
+    before any draws are made.  Each point then draws spec.samples SIRs once,
+    unless its law's 1/beta is past the double range (its SweepPointError).  It
+    passes when the analytic BER lies within 3 standard errors of their Monte
+    Carlo mean and their KS distance to the law stays below ks_threshold.
+    One row's draws are held at a time, 8 bytes per sample.
 
-    corrupt_beta is a test hook: it scales the analytic distribution's beta
-    while the Monte Carlo side keeps sampling the physical model, so any
-    value != 1 must make points fail.
+    corrupt_beta is a test hook: it scales the analytic law's beta (the law
+    tested and range-checked) while the Monte Carlo side keeps sampling the
+    physical model, so any value != 1 must make points fail.
     """
     if spec.samples < 10 ** 4:
         raise ConfigError(f"validation needs at least 1e4 samples, got {spec.samples}")
-    threshold = ks_threshold(spec.samples)
-    return [_with_mc_columns(row, spec.samples, derived_seed(spec.seed, index, 0), threshold)
+    return [_with_mc_columns(row, spec.samples, derived_seed(spec.seed, index, 0))
             for index, row in enumerate(_analytic_rows(spec, corrupt_beta))]
 
 
@@ -409,6 +411,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    failed = 0
     try:
         spec = _spec_from_args(args)
         if args.command == "point":
@@ -419,13 +422,8 @@ def main(argv=None) -> int:
             if not (math.isfinite(args.corrupt_beta) and args.corrupt_beta > 0.0):
                 raise ConfigError(f"--corrupt-beta must be finite and > 0, got {args.corrupt_beta}")
             rows = validate(spec, corrupt_beta=args.corrupt_beta)
-            _write_output(rows_to_csv(rows), args.out)
-            if not all(row.passed for row in rows):
-                print("validation FAILED at "
-                      f"{sum(not r.passed for r in rows)} of {len(rows)} points",
-                      file=sys.stderr)
-                return 3
-            return 0
+            failed = sum(not row.passed for row in rows)
+            text = rows_to_csv(rows)
         else:  # dist
             if not (args.points >= 2 and 0.0 < args.ymin < args.ymax < math.inf):
                 raise ConfigError("dist needs 0 < ymin < ymax < inf and points >= 2")
@@ -438,10 +436,13 @@ def main(argv=None) -> int:
             columns = zip(grid.tolist(), pdf.tolist(), cdf.tolist())
             text = "".join(["y,pdf,cdf\n"] + ["%.12g,%.12g,%.12g\n" % row for row in columns])
         _write_output(text, args.out)
-        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except SweepPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if failed:
+        print(f"validation FAILED at {failed} of {len(rows)} points", file=sys.stderr)
+        return 3
+    return 0

@@ -17,6 +17,7 @@ from sirlink import (
     BerResult,
     CrossCheckError,
     QuadratureError,
+    QuadratureResult,
     SirDistribution,
     ber,
     ber_direct,
@@ -409,3 +410,13 @@ class TestBerResultInvariants:
             BerResult(ber=-0.1, quad_error=0.0, route_disagreement=0.0)
         with pytest.raises(ValueError):
             BerResult(ber=0.1, quad_error=-1.0, route_disagreement=0.0)
+        with pytest.raises(ValueError, match="route_disagreement"):
+            BerResult(ber=0.1, quad_error=0.0, route_disagreement=-1.0)
+
+    def test_quadrature_result_invariants(self):
+        with pytest.raises(ValueError, match="abs_error_estimate"):
+            QuadratureResult(value=0.1, abs_error_estimate=-1.0, evaluations=1)
+        with pytest.raises(ValueError, match="abs_error_estimate"):
+            QuadratureResult(value=0.1, abs_error_estimate=math.nan, evaluations=1)
+        with pytest.raises(ValueError, match="evaluations"):
+            QuadratureResult(value=0.1, abs_error_estimate=0.0, evaluations=0)

@@ -222,6 +222,10 @@ class TestSirPdf:
 
 
 class TestSirCdf:
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="SIR must be >= 0"):
+            sir_cdf(SirDistribution(shape=1.0, beta=1.0), [1.0, -0.5])
+
     def test_unit_median(self):
         assert sir_cdf(SirDistribution(shape=1.0, beta=1.0), 1.0) == pytest.approx(0.5)
 

@@ -501,6 +501,21 @@ class TestValidate:
         assert [(row.mc_mean, row.mc_std_error) for row in rows] == \
             [(row.mc_mean, row.mc_std_error) for row in validate(spec)]
 
+    @pytest.mark.parametrize("config, corrupt_beta", [
+        (MINIMAL + "\n[sweep]\naxis = rho\nvalues = 1e17, 1e-320\n", 1.0),
+        (MINIMAL, 1e-320),
+    ], ids=["rho-1e-320", "corrupt-beta-1e-320"])
+    def test_unsampleable_law_refused_before_draws(self, monkeypatch, config, corrupt_beta):
+        # beta 2.5e-321: 1/beta overflows, so neither the law's scale nor the
+        # draws fit in a double; the tested law is the corrupted one
+        calls = []
+        monkeypatch.setattr(montecarlo, "sample_sir", lambda *args, **kwargs: calls.append(1))
+        spec = dataclasses.replace(parse_config(config), samples=10 ** 4, seed=0)
+        with pytest.raises(SweepPointError, match=r"SIR law at shape=2\.0, beta=2\.52e-321: "
+                           "1/beta is past the double range, so it cannot be sampled$"):
+            validate(spec, corrupt_beta=corrupt_beta)
+        assert calls == []
+
     def test_small_sample_band_scales(self):
         rows = validate(dataclasses.replace(parse_config(MINIMAL), samples=10 ** 4, seed=22))
         assert all(row.passed for row in rows)
@@ -627,9 +642,10 @@ class TestCliProcess:
         ("point --m=1e300 --M=1 --rho=5e-324 --p1_dbm=15 --p2_dbm=6 --s=90 --t=90 --n=3", 2),
         # beta*y overflows in sir_cdf on the Gauss-Laguerre route, and is clamped
         ("point --m=1e300 --M=1 --p1_dbm=15 --p2_dbm=90 --s=90 --t=90 --n=3", 2),
-        # the geometric factor times the interference power underflows to 0
+        # at rho = 1e-320 the law's 1/beta is past the double range: refused
+        # before its draws, whose interference power would underflow to 0
         ("validate --m=2 --M=1 --p1_dbm=15 --p2_dbm=6 --s=90 --t=90 --n=3 --axis rho "
-         "--values=1e17,1e-320 --samples 1e4", 3),
+         "--values=1e17,1e-320 --samples 1e4", 2),
     ], ids=["direct-bound-inf", "gl-cdf-overflow", "mc-interference-underflow"])
     def test_extreme_law_prints_one_stderr_line(self, argv, code):
         # numpy's floating-point warnings would print beside the command's own line
@@ -667,6 +683,24 @@ class TestCliProcess:
         assert ok.returncode == 0
         bad = run_cli("validate", "--config", str(cfg), "--corrupt-beta", "1.5")
         assert bad.returncode == 3
+
+    def test_validate_failure_writes_out_once(self, tmp_path):
+        # the CSV goes to --out alone, byte for byte what stdout would carry,
+        # and the failure count to stderr
+        argv = ("validate", "--config", os.path.join(CONFIG_DIR, "fig3_validate.ini"),
+                "--samples", "200003", "--corrupt-beta", "1.5")
+        out = tmp_path / "val.csv"
+        to_file, to_stdout = run_cli(*argv, "--out", str(out)), run_cli(*argv)
+        assert to_file.returncode == to_stdout.returncode == 3
+        assert to_file.stdout == ""
+        assert to_file.stderr == to_stdout.stderr == "validation FAILED at 4 of 4 points\n"
+        assert out.read_bytes() == to_stdout.stdout.encode()
+
+    def test_missing_config_exit_code(self, tmp_path):
+        proc = run_cli("point", "--config", str(tmp_path / "missing.ini"))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("config error: cannot read config ")
+        assert proc.stderr.count("\n") == 1
 
     def test_validate_sample_count_too_large(self):
         # 8e14 bytes of draws: more than x86-64's 128 TiB user address space
@@ -777,17 +811,31 @@ class TestCliProcess:
          "M must be an integer >= 1, got 0\n"),
         ("validate", MINIMAL, "--samples 5000",
          "config error: validation needs at least 1e4 samples, got 5000\n"),
+        ("sweep", MINIMAL + "\n[sweep]\naxis = s\nvalues = ,\n", "",
+         "config error: [sweep] values for axis 's' must be non-empty\n"),
+        # configparser's refusals are parse errors, under one prefix
+        ("point", MINIMAL + "\n[scenario]\nm = 3\n", "",
+         "config error: config parse error: While reading from '<string>' [line 11]: "
+         "section 'scenario' already exists\n"),
+        ("point", MINIMAL.replace("M = 1", "M = 1\nM = 2"), "",
+         "config error: config parse error: While reading from '<string>' [line  5]: "
+         "option 'M' in section 'scenario' already exists\n"),
+        # [DEFAULT] is a section like any other, so its keys reach no section
+        ("point", "[DEFAULT]\nm = 2\n" + MINIMAL.replace("m = 2\n", ""), "",
+         "config error: unknown section [DEFAULT]; expected one of "
+         "['scenario', 'sweep', 'validate']\n"),
     ], ids=["m-0.1", "m-inf", "sigma-inf", "n-inf", "seed-negative", "dist-ymax-inf",
             "corrupt-beta-0", "corrupt-beta-nan", "M-0", "unknown-axis",
             "second-axis-alone", "same-axis-twice", "second-axis-without-values",
             "values-without-axis", "second-values-without-second-axis", "grid-point-m-0.1",
-            "grid-point-M-0", "samples-5000"])
+            "grid-point-M-0", "samples-5000", "values-empty", "duplicate-section",
+            "duplicate-key", "default-section"])
     def test_parse_error_exit_code(self, tmp_path, command, config, flags, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(config)
         proc = run_cli(command, "--config", str(cfg), *flags.split())
         assert proc.returncode == 1
-        assert message in proc.stderr
+        assert message in proc.stderr and proc.stderr.count("config error:") == 1
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
     @pytest.mark.parametrize("command, flags, message", [
