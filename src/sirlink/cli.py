@@ -5,8 +5,10 @@ sections; command-line flags mirror the config keys and override them.
 The [scenario] keys and the sweep axes are Scenario's fields, in its order;
 M, sigma and rho may be left out and take its defaults (1).  Counts (M,
 samples, seed) are read exactly: 2.0 and 1e6 are whole, 2.5 is not.  [sweep]
-names up to two axes, the first varying fastest.  `validate` evaluates the
-whole grid as `sweep` does before it makes any Monte Carlo draw.
+names up to two axes, the first varying fastest.  A grid runs in stages:
+every point is built, every law evaluated, and under `validate` every law
+checked to be samplable before any draw; in each stage the first failing
+point in grid order decides the error.
 
 Output is plot-ready CSV: M and pass print as integers, and every other
 column, as every column of `dist`, prints with %.12g (12 significant
@@ -34,9 +36,9 @@ from typing import Optional
 
 import numpy as np
 
-from .ber import ber, ber_batch  # noqa: F401  (perfbench/test_harness.py reads cli.ber)
+from .ber import BerResult, ber, ber_batch  # noqa: F401  (perfbench/test_harness.py reads cli.ber)
 from .channel import Scenario, SirDistribution, sir_cdf, sir_distribution, sir_pdf
-from .montecarlo import derived_seed, estimate_ber, ks_statistic
+from .montecarlo import McEstimate, derived_seed, estimate_ber, ks_statistic
 
 SCENARIO_KEYS = tuple(field.name for field in dataclasses.fields(Scenario))
 # Scenario's whole-number fields (M), read as counts like samples and seed.
@@ -80,36 +82,32 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One evaluated grid point: its scenario and SIR law, then derived quantities."""
+    """One evaluated grid point: its scenario, SIR law and analytic result, and
+    under validate its Monte Carlo estimate, KS statistic and verdict."""
 
     scenario: Scenario
     law: SirDistribution
-    ber: float
-    quad_err: float
-    mc_mean: Optional[float] = None
-    mc_std_error: Optional[float] = None
+    result: BerResult
+    estimate: Optional[McEstimate] = None
     ks_stat: Optional[float] = None
     passed: Optional[bool] = None
 
 
-# CSV columns: Scenario's fields, then the law's, then SweepRow's own from ber
-# on; validate adds the Monte Carlo fields from mc_mean on, and `passed` is
-# printed as `pass`.
-_PATHS = (tuple(f"scenario.{key}" for key in SCENARIO_KEYS)
-          + tuple(f"law.{field.name}" for field in dataclasses.fields(SirDistribution))
-          + tuple(field.name for field in dataclasses.fields(SweepRow)[2:]))
-_COLUMNS = tuple(path.rpartition(".")[2] for path in _PATHS)
-_SWEEP_END = _COLUMNS.index("mc_mean")
-HEADER = ",".join(_COLUMNS[:_SWEEP_END])
-HEADER_VALIDATE = ",".join(_COLUMNS[:-1] + ("pass",))
+# The CSV table: each column's header and the SweepRow attribute it prints.
+# sweep prints all but the last four columns, which validate adds.
+_COLUMNS = (*((key, f"scenario.{key}") for key in SCENARIO_KEYS),
+            ("shape", "law.shape"), ("beta", "law.beta"),
+            ("ber", "result.ber"), ("quad_err", "result.quad_error"),
+            ("mc_mean", "estimate.mean"), ("mc_std_error", "estimate.std_error"),
+            ("ks_stat", "ks_stat"), ("pass", "passed"))
 # Each command's rows print with one %-format: integers for the counts and
 # pass, 12 significant digits for every other column.
-_CSV = {validation: (header + "\n",
-                     ",".join("%d" if name in COUNT_KEYS + ("passed",) else "%.12g"
-                              for name in _COLUMNS[:end]) + "\n",
-                     operator.attrgetter(*_PATHS[:end]))
-        for validation, header, end in ((False, HEADER, _SWEEP_END),
-                                        (True, HEADER_VALIDATE, len(_PATHS)))}
+_CSV = {validation: (",".join(header for header, _ in columns) + "\n",
+                     ",".join("%d" if header in COUNT_KEYS + ("pass",) else "%.12g"
+                              for header, _ in columns) + "\n",
+                     operator.attrgetter(*(path for _, path in columns)))
+        for validation, columns in ((False, _COLUMNS[:-4]), (True, _COLUMNS))}
+HEADER, HEADER_VALIDATE = (_CSV[validation][0].rstrip("\n") for validation in (False, True))
 
 
 def _build_scenario(params: dict) -> Scenario:
@@ -150,14 +148,15 @@ def _parse_values(axis: str, key: str, raw: str) -> tuple:
 
 
 def _read_sections(text: str) -> dict:
-    """{section: {key: raw text}}; any configparser failure is one `config parse error`."""
+    """{section: {key: raw text}}; any configparser failure is one `config parse error` line."""
     # No header can spell "\n", so [DEFAULT] is an ordinary, unknown section.
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str  # keys are case-sensitive: m and M both exist
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"config parse error: {message}") from exc
     sections = {}
     for name in parser.sections():
         if name not in SECTION_KEYS:
@@ -245,25 +244,17 @@ def _law(point: dict, corrupt_beta: float = 1.0) -> tuple:
 def _analytic_rows(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     """The SweepRow of each grid point, in grid order, without Monte Carlo columns.
 
-    Every law is built first and all are evaluated in one ber_batch call;
-    building stops at the first point whose law cannot be built.  The first
-    failing point in grid order raises its ConfigError or SweepPointError.
-    Each law's beta is scaled by corrupt_beta.
+    Every point's law is built first, its beta scaled by corrupt_beta: the first
+    point refused (ConfigError) or whose law cannot be built (SweepPointError)
+    stops the grid before any evaluation.  All laws are then evaluated in one
+    ber_batch call, and the first point whose evaluation failed raises.
     """
-    built, failure = [], None
-    for point in _grid_points(spec):
-        try:
-            built.append(_law(point, corrupt_beta))
-        except (ConfigError, SweepPointError) as exc:
-            failure = exc
-            break
+    built = [_law(point, corrupt_beta) for point in _grid_points(spec)]
     rows = []
     for (scenario, law), result in zip(built, ber_batch([law for _, law in built])):
         if isinstance(result, Exception):
             raise SweepPointError(dataclasses.asdict(scenario), result) from result
-        rows.append(SweepRow(scenario, law, ber=result.ber, quad_err=result.quad_error))
-    if failure is not None:
-        raise failure
+        rows.append(SweepRow(scenario, law, result))
     return rows
 
 
@@ -277,12 +268,9 @@ def ks_threshold(samples: int) -> float:
 
 
 def _with_mc_columns(row: SweepRow, samples: int, seed: int) -> SweepRow:
-    """The row plus its Monte Carlo columns: its scenario sampled, its law (under
-    --corrupt-beta, the corrupted one) tested; its draws are freed on return."""
+    """The row plus its estimate, KS statistic and verdict: its scenario sampled,
+    its law (under --corrupt-beta, the corrupted one) tested; draws freed on return."""
     point = dataclasses.asdict(row.scenario)
-    if math.isinf(1.0 / row.law.beta):
-        raise SweepPointError(point, f"SIR law at shape={row.law.shape!r}, beta={row.law.beta!r}: "
-                                     "1/beta is past the double range, so it cannot be sampled")
     try:
         draws = np.empty(samples)
     except (MemoryError, ValueError):  # numpy refuses a size it cannot allocate or index
@@ -296,19 +284,19 @@ def _with_mc_columns(row: SweepRow, samples: int, seed: int) -> SweepRow:
         raise ConfigError(f"grid point {point}: {exc}") from None
     except (ValueError, ArithmeticError) as exc:
         raise SweepPointError(point, exc) from exc
-    ok = abs(row.ber - estimate.mean) <= 3.0 * estimate.std_error and ks < ks_threshold(samples)
-    return dataclasses.replace(row, mc_mean=estimate.mean, mc_std_error=estimate.std_error,
-                               ks_stat=ks, passed=ok)
+    ok = (abs(row.result.ber - estimate.mean) <= 3.0 * estimate.std_error
+          and ks < ks_threshold(samples))
+    return dataclasses.replace(row, estimate=estimate, ks_stat=ks, passed=ok)
 
 
 def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     """Cross-validate every grid point against the Monte Carlo oracle.
 
-    The whole grid is evaluated analytically first, so a failing point raises
-    before any draws are made.  Each point then draws spec.samples SIRs once,
-    unless its law's 1/beta is past the double range (its SweepPointError).  It
-    passes when the analytic BER lies within 3 standard errors of their Monte
-    Carlo mean and their KS distance to the law stays below ks_threshold.
+    The whole grid is evaluated analytically, and every law whose 1/beta is past
+    the double range refused (SweepPointError), before any draws are made.  Each
+    point then draws spec.samples SIRs once.  It passes when the analytic BER
+    lies within 3 standard errors of their Monte Carlo mean and their KS
+    distance to the law stays below ks_threshold.
     One row's draws are held at a time, 8 bytes per sample.
 
     corrupt_beta is a test hook: it scales the analytic law's beta (the law
@@ -317,8 +305,14 @@ def validate(spec: SweepSpec, corrupt_beta: float = 1.0) -> list:
     """
     if spec.samples < 10 ** 4:
         raise ConfigError(f"validation needs at least 1e4 samples, got {spec.samples}")
+    rows = _analytic_rows(spec, corrupt_beta)
+    for row in rows:
+        if math.isinf(1.0 / row.law.beta):
+            raise SweepPointError(dataclasses.asdict(row.scenario),
+                                  f"SIR law at shape={row.law.shape!r}, beta={row.law.beta!r}: "
+                                  "1/beta is past the double range, so it cannot be sampled")
     return [_with_mc_columns(row, spec.samples, derived_seed(spec.seed, index, 0))
-            for index, row in enumerate(_analytic_rows(spec, corrupt_beta))]
+            for index, row in enumerate(rows)]
 
 
 def rows_to_csv(rows: list) -> str:
@@ -383,7 +377,7 @@ def _spec_from_args(args) -> SweepSpec:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 sections = _read_sections(handle.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     else:
         sections = {}

@@ -18,7 +18,6 @@ from numpy.random import SeedSequence, default_rng
 from conftest import CONFIG_DIR, closed_form_pdf, scen
 from sirlink import (
     CrossCheckError,
-    SirDistribution,
     ber,
     estimate_ber,
     ks_statistic,
@@ -28,6 +27,7 @@ from sirlink import (
 )
 from sirlink.cli import (
     HEADER,
+    HEADER_VALIDATE,
     ConfigError,
     SweepPointError,
     _build_scenario,
@@ -366,19 +366,19 @@ class TestRunSweep:
         spec = parse_config(MINIMAL)
         rows = run_sweep(spec)
         assert len(rows) == 1
-        assert rows[0].ber == ber(spec.base).ber
-        assert rows[0].mc_mean is None
+        assert rows[0].result == ber(spec.base)
+        assert rows[0].estimate is None
 
     def test_diversity_grid_monotone(self):
         rows = run_sweep(parse_config(DIVERSITY_GRID))
         assert [row.scenario.M for row in rows] == [1, 2, 3, 4]
-        bers = [row.ber for row in rows]
+        bers = [row.result.ber for row in rows]
         assert all(a > b for a, b in zip(bers, bers[1:]))
 
     def test_interference_power_grid_monotone(self):
         with open(os.path.join(CONFIG_DIR, "fig4_sweep.ini")) as handle:
             rows = run_sweep(parse_config(handle.read()))
-        bers = [row.ber for row in rows]
+        bers = [row.result.ber for row in rows]
         assert all(a < b for a, b in zip(bers, bers[1:]))
 
     def test_lexicographic_ordering(self):
@@ -393,17 +393,17 @@ class TestRunSweep:
         assert str(info.value).startswith(f"grid point {next(_grid_points(spec))}: "
                                           "invalid scenario: Nakagami parameter m must be")
 
-    def test_first_failing_point_wins(self, capsys):
-        # s = 1 fails the cross-check and s = inf cannot be built; every law
-        # is evaluated in one batch, but the grid still fails at s = 1
+    def test_every_point_built_before_any_evaluated(self, capsys):
+        # s = 1 fails the cross-check and s = inf is refused by Scenario; every
+        # point is built before any law is evaluated, so s = inf wins
         argv = ["sweep", "--m", "0.5", "--M", "1", "--p1_dbm", "0", "--p2_dbm", "10",
                 "--s", "1", "--t", "1", "--n", "3", "--axis", "s", "--values", "1, inf"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: evaluation failed at grid point {'m': 0.5, 'M': 1, "
-                              "'sigma': 1.0, 'rho': 1.0, 'p1_dbm': 0.0, 'p2_dbm': 10.0, "
-                              "'s': 1.0, 't': 1.0, 'n': 3.0}: BER routes disagree: ")
-        # and where the law that cannot be built comes first, it wins
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "config error: grid point {'m': 0.5, 'M': 1, 'sigma': 1.0, 'rho': 1.0, "
+            "'p1_dbm': 0.0, 'p2_dbm': 10.0, 's': inf, 't': 1.0, 'n': 3.0}: invalid scenario: "
+            "s must be finite, got inf\n")
+        # and where the point that cannot be built comes first, it wins too
         argv[argv.index("--axis") + 1:] = ["m", "--values", "0.3, 0.5"]
         assert main(argv) == 1
         assert "m must be >= 0.5" in capsys.readouterr().err
@@ -452,10 +452,10 @@ class TestValidate:
         spec = parse_config(DIVERSITY_GRID)
         rows = validate(dataclasses.replace(spec, samples=10 ** 5, seed=21))
         assert all(row.passed for row in rows)
-        assert all(abs(row.ber - row.mc_mean) <= 3.0 * row.mc_std_error for row in rows)
+        assert all(abs(row.result.ber - row.estimate.mean) <= 3.0 * row.estimate.std_error
+                   for row in rows)
         assert all(row.ks_stat < 0.005 for row in rows)
-        swept = run_sweep(spec)
-        assert [(r.ber, r.quad_err) for r in rows] == [(r.ber, r.quad_err) for r in swept]
+        assert [row.result for row in rows] == [row.result for row in run_sweep(spec)]
 
     def test_cross_check_failure_names_point(self):
         # shape-0.5 law: the Gauss-Laguerre route cannot match the direct route
@@ -498,22 +498,26 @@ class TestValidate:
         assert all(row.ks_stat >= ks_threshold(spec.samples) for row in rows)
         assert [row.law.beta for row in rows] == \
             [1.5 * sir_distribution(row.scenario).beta for row in rows]
-        assert [(row.mc_mean, row.mc_std_error) for row in rows] == \
-            [(row.mc_mean, row.mc_std_error) for row in validate(spec)]
+        assert [row.estimate for row in rows] == [row.estimate for row in validate(spec)]
 
-    @pytest.mark.parametrize("config, corrupt_beta", [
-        (MINIMAL + "\n[sweep]\naxis = rho\nvalues = 1e17, 1e-320\n", 1.0),
-        (MINIMAL, 1e-320),
-    ], ids=["rho-1e-320", "corrupt-beta-1e-320"])
-    def test_unsampleable_law_refused_before_draws(self, monkeypatch, config, corrupt_beta):
-        # beta 2.5e-321: 1/beta overflows, so neither the law's scale nor the
-        # draws fit in a double; the tested law is the corrupted one
+    @pytest.mark.parametrize("config, corrupt_beta, beta", [
+        (MINIMAL + "\n[sweep]\naxis = rho\nvalues = 1e17, 1e-320\n", 1.0, "2.52e-321"),
+        (MINIMAL, 1e-320, "2.52e-321"),
+        (MINIMAL + "\n[sweep]\naxis = sigma\nvalues = 1, 1e308\n", 1.0, "2.51785082358804e-309"),
+    ], ids=["rho-1e-320", "corrupt-beta-1e-320", "sigma-1e308-last"])
+    def test_unsampleable_law_refused_before_draws(self, monkeypatch, config, corrupt_beta,
+                                                   beta):
+        # 1/beta overflows, so neither the law's scale nor the draws fit in a
+        # double; the tested law is the corrupted one.  Every row's law is
+        # checked before the first row draws, so a last row that cannot be
+        # sampled (sigma = 1e308) is refused before the first row's draws
         calls = []
         monkeypatch.setattr(montecarlo, "sample_sir", lambda *args, **kwargs: calls.append(1))
         spec = dataclasses.replace(parse_config(config), samples=10 ** 4, seed=0)
-        with pytest.raises(SweepPointError, match=r"SIR law at shape=2\.0, beta=2\.52e-321: "
-                           "1/beta is past the double range, so it cannot be sampled$"):
+        with pytest.raises(SweepPointError) as info:
             validate(spec, corrupt_beta=corrupt_beta)
+        assert str(info.value).endswith(f"SIR law at shape=2.0, beta={beta}: 1/beta is past "
+                                        "the double range, so it cannot be sampled")
         assert calls == []
 
     def test_small_sample_band_scales(self):
@@ -535,7 +539,7 @@ class TestValidate:
             assert scenario == _build_scenario(point)
             seed = derived_seed(spec.seed, index, 0)
             estimate = estimate_ber(scenario, spec.samples, seed)
-            assert (row.mc_mean, row.mc_std_error) == (estimate.mean, estimate.std_error)
+            assert row.estimate == estimate
             draws = np.concatenate([
                 sample_sir(default_rng(SeedSequence(seed, spawn_key=(i,))), scenario,
                            size=min(montecarlo.BLOCK_SIZE, spec.samples - start))
@@ -548,7 +552,7 @@ class TestValidate:
         columns = []
         for workers in (1, 4):
             monkeypatch.setattr(montecarlo, "WORKERS", workers)
-            columns.append([(r.mc_mean, r.mc_std_error, r.ks_stat) for r in validate(spec)])
+            columns.append([(r.estimate, r.ks_stat) for r in validate(spec)])
         assert columns[0] == columns[1]
 
     def test_worker_failure_names_point(self, monkeypatch, capsys, tmp_path):
@@ -624,9 +628,13 @@ class TestCsv:
 
 
     def test_row_starts_with_scenario_fields(self):
-        # the columns are Scenario's fields, then the law's, then the row's own
-        law = [field.name for field in dataclasses.fields(SirDistribution)]
-        assert HEADER.split(",") == [*SCENARIO_KEYS, *law, "ber", "quad_err"]
+        # the headers are README's, whatever the fields of the records behind them
+        assert HEADER == "m,M,sigma,rho,p1_dbm,p2_dbm,s,t,n,shape,beta,ber,quad_err"
+        assert HEADER_VALIDATE == HEADER + ",mc_mean,mc_std_error,ks_stat,pass"
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+                  encoding="utf-8") as handle:
+            readme = handle.read()
+        assert f"`{HEADER}`\nplus `,mc_mean,mc_std_error,ks_stat,pass` for `validate`" in readme
 
 
 class TestCliProcess:
@@ -701,6 +709,19 @@ class TestCliProcess:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("config error: cannot read config ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"\xff\xfe[scenario]\n", "can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[scenario]\nm = 2\xe9\n",
+         "can't decode byte 0xe9 in position 16: invalid continuation byte"),
+    ], ids=["utf-16-bom", "stray-0xe9"])
+    def test_config_not_utf8(self, tmp_path, raw, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(raw)
+        proc = run_cli("point", "--config", str(cfg))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (f"config error: cannot read config {str(cfg)!r}: "
+                               f"'utf-8' codec {message}\n")
 
     def test_validate_sample_count_too_large(self):
         # 8e14 bytes of draws: more than x86-64's 128 TiB user address space
@@ -820,6 +841,13 @@ class TestCliProcess:
         ("point", MINIMAL.replace("M = 1", "M = 1\nM = 2"), "",
          "config error: config parse error: While reading from '<string>' [line  5]: "
          "option 'M' in section 'scenario' already exists\n"),
+        # a message configparser spreads over several lines prints as one
+        ("point", MINIMAL + "garbage line\n", "",
+         "config error: config parse error: Source contains parsing errors: '<string>' "
+         "[line 10]: 'garbage line\\n'\n"),
+        ("point", "m = 2\n" + MINIMAL, "",
+         "config error: config parse error: File contains no section headers. "
+         "file: '<string>', line: 1 'm = 2\\n'\n"),
         # [DEFAULT] is a section like any other, so its keys reach no section
         ("point", "[DEFAULT]\nm = 2\n" + MINIMAL.replace("m = 2\n", ""), "",
          "config error: unknown section [DEFAULT]; expected one of "
@@ -829,7 +857,7 @@ class TestCliProcess:
             "second-axis-alone", "same-axis-twice", "second-axis-without-values",
             "values-without-axis", "second-values-without-second-axis", "grid-point-m-0.1",
             "grid-point-M-0", "samples-5000", "values-empty", "duplicate-section",
-            "duplicate-key", "default-section"])
+            "duplicate-key", "no-equals-sign", "no-section-header", "default-section"])
     def test_parse_error_exit_code(self, tmp_path, command, config, flags, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(config)
